@@ -2,14 +2,14 @@
 //! P4CE-programmed switch, links and routes — and optionally a backup
 //! plain-L3 fabric for switch-crash experiments.
 
-use netsim::{LinkSpec, NodeId, SimDuration, Simulation, Tracer};
+use netsim::{LinkSpec, SimDuration, Simulation, Tracer};
 use p4ce_switch::{AckDropStage, P4ceProgram, P4ceSwitchConfig};
 use rdma::{Host, HostConfig};
 use replication::{ClusterConfig, MemberId, ProtocolTiming, WorkloadSpec};
 use std::net::Ipv4Addr;
 use tofino::{L3Forwarder, Switch, SwitchConfig};
 
-use crate::member::{P4ceMember, P4ceMemberConfig};
+use crate::member::{P4ceMember, P4ceMemberConfig, SwitchGroup};
 
 /// Builds a ready-to-run P4CE cluster inside a [`Simulation`].
 ///
@@ -273,86 +273,10 @@ impl ClusterBuilder {
             None
         };
 
-        Deployment {
-            sim,
-            cluster,
-            members,
-            switch,
-            backup,
-        }
+        Deployment::new(sim, cluster, members, switch, backup)
     }
 }
 
-/// A built P4CE deployment.
-pub struct Deployment {
-    /// The simulation to drive.
-    pub sim: Simulation,
-    /// The cluster description.
-    pub cluster: ClusterConfig,
-    /// Member node ids, in member-id order.
-    pub members: Vec<NodeId>,
-    /// The P4CE switch node id.
-    pub switch: NodeId,
-    /// The backup fabric node id, if built.
-    pub backup: Option<NodeId>,
-}
-
-impl Deployment {
-    /// The member application of member `i`.
-    pub fn member(&self, i: usize) -> &P4ceMember {
-        self.sim.node_ref::<Host<P4ceMember>>(self.members[i]).app()
-    }
-
-    /// Mutable access to member `i` (e.g. to reset measurement windows).
-    pub fn member_mut(&mut self, i: usize) -> &mut P4ceMember {
-        self.sim
-            .node_mut::<Host<P4ceMember>>(self.members[i])
-            .app_mut()
-    }
-
-    /// Runs a closure against member `i` with live host operations — the
-    /// way external code injects actions (e.g. proposing client values)
-    /// into a running member.
-    pub fn with_member<R>(
-        &mut self,
-        i: usize,
-        f: impl FnOnce(&mut P4ceMember, &mut rdma::HostOps<'_, '_>) -> R,
-    ) -> R {
-        let node = self.members[i];
-        self.sim
-            .with_node::<Host<P4ceMember>, _>(node, |host, ctx| host.with_ops(ctx, f))
-    }
-
-    /// The steady-state leader (member 0).
-    pub fn leader(&self) -> &P4ceMember {
-        self.member(0)
-    }
-
-    /// The P4CE switch program, for stats.
-    pub fn switch_program(&self) -> &P4ceProgram {
-        self.sim
-            .node_ref::<Switch<P4ceProgram>>(self.switch)
-            .program()
-    }
-
-    /// Crashes member `i` (process + NIC power-off).
-    pub fn kill_member(&mut self, i: usize) {
-        let node = self.members[i];
-        self.sim.set_node_down(node, true);
-    }
-
-    /// Powers the P4CE switch off.
-    pub fn kill_switch(&mut self) {
-        let node = self.switch;
-        self.sim.set_node_down(node, true);
-    }
-}
-
-impl std::fmt::Debug for Deployment {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Deployment")
-            .field("members", &self.members.len())
-            .field("backup", &self.backup.is_some())
-            .finish()
-    }
-}
+/// A built P4CE deployment; [`Deployment::switch_program`] reads the
+/// switch's stats.
+pub type Deployment = mu::Deployment<SwitchGroup>;

@@ -19,6 +19,10 @@
 //! direct Mu-style replication and periodically re-probes for an
 //! accelerated path (§III-A of the paper).
 //!
+//! The decision module is Mu's, literally: [`P4ceMember`] is
+//! [`mu::Member`] over this crate's [`SwitchGroup`] communication
+//! strategy, and [`Deployment`] is [`mu::Deployment`] over the same.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -51,7 +55,7 @@ mod member;
 mod shard;
 
 pub use builder::{ClusterBuilder, Deployment};
-pub use member::{MemberEvent, MemberStats, P4ceMember, P4ceMemberConfig};
+pub use member::{MemberEvent, MemberStats, P4ceMember, P4ceMemberConfig, SwitchGroup};
 pub use shard::{ShardedClusterBuilder, ShardedDeployment};
 
 // Re-export the pieces users need to drive a deployment.

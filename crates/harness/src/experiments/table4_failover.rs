@@ -9,8 +9,8 @@
 //! | crashed leader      | ~0.9 ms | ~40.9 ms|
 //! | crashed switch      | ~60 ms  | ~60 ms  |
 
+use mu::{Comm, MemberEvent};
 use netsim::{SimDuration, SimTime};
-use rdma::Host;
 use replication::WorkloadSpec;
 
 use crate::report::{fmt_f64, TableRow};
@@ -69,82 +69,63 @@ fn workload() -> WorkloadSpec {
 /// (permissions already granted, so the cost is pure communication
 /// setup: CM round-trips for Mu, CM + 40 ms reconfiguration for P4CE).
 pub fn new_group(system: System) -> FailoverRow {
-    match system {
-        System::Mu => {
-            let mut d = mu::ClusterBuilder::new(3).workload(workload()).build();
-            d.sim.run_until(SimTime::from_millis(30));
-            let t0 = d.sim.now();
-            rebuild_mu(&mut d, t0)
-        }
-        System::P4ce => {
-            let mut d = p4ce::ClusterBuilder::new(3).workload(workload()).build();
-            d.sim.run_until(SimTime::from_millis(80));
-            let t0 = d.sim.now();
-            rebuild_p4ce(&mut d, t0)
-        }
-    }
-}
-
-fn rebuild_mu(d: &mut mu::Deployment, t0: SimTime) -> FailoverRow {
-    let node = d.members[0];
-    trigger_rebuild_mu(d, node);
-    d.sim.run_until(t0 + SimDuration::from_millis(200));
-    let leader = d.leader();
-    let started = leader
-        .stats
-        .event_time_after(t0, |e| matches!(e, mu::MemberEvent::CommRebuildStarted))
-        .expect("rebuild started");
-    let done = leader
-        .stats
-        .event_time_after(started, |e| {
-            matches!(e, mu::MemberEvent::LeaderOperational { .. })
-        })
-        .expect("rebuild finished");
+    let took = match system {
+        System::Mu => rebuild(mu_cluster(false), 30, |e| {
+            matches!(e, MemberEvent::LeaderOperational { .. })
+        }),
+        System::P4ce => rebuild(p4ce_cluster(false), 80, |e| {
+            matches!(e, MemberEvent::GroupEstablished)
+        }),
+    };
     FailoverRow {
         scenario: "new communication group",
-        system: System::Mu,
+        system,
         detection_ms: 0.0,
-        recovery_ms: ms(done.duration_since(started)),
-        total_ms: ms(done.duration_since(started)),
+        recovery_ms: ms(took),
+        total_ms: ms(took),
     }
 }
 
-fn rebuild_p4ce(d: &mut p4ce::Deployment, t0: SimTime) -> FailoverRow {
-    let node = d.members[0];
-    d.sim
-        .with_node::<Host<p4ce::P4ceMember>, _>(node, |host, ctx| {
-            host.with_ops(ctx, |member, ops| member.force_rebuild_comm(ops));
-        });
+fn mu_cluster(backup_fabric: bool) -> mu::Deployment {
+    mu::ClusterBuilder::new(3)
+        .workload(workload())
+        .backup_fabric(backup_fabric)
+        .build()
+}
+
+fn p4ce_cluster(backup_fabric: bool) -> p4ce::Deployment {
+    p4ce::ClusterBuilder::new(3)
+        .workload(workload())
+        .backup_fabric(backup_fabric)
+        .build()
+}
+
+/// Rebuilds the leader's communication at `settle_ms` and times it up to
+/// the `done` event.
+fn rebuild<C: Comm>(
+    mut d: mu::Deployment<C>,
+    settle_ms: u64,
+    done: impl Fn(&MemberEvent) -> bool,
+) -> SimDuration {
+    d.sim.run_until(SimTime::from_millis(settle_ms));
+    let t0 = d.sim.now();
+    d.with_member(0, |member, ops| member.force_rebuild_comm(ops));
     d.sim.run_until(t0 + SimDuration::from_millis(200));
-    let leader = d.leader();
-    let started = leader
-        .stats
-        .event_time_after(t0, |e| matches!(e, mu::MemberEvent::CommRebuildStarted))
+    let stats = &d.leader().stats;
+    let started = stats
+        .event_time_after(t0, |e| matches!(e, MemberEvent::CommRebuildStarted))
         .expect("rebuild started");
-    let done = leader
-        .stats
-        .event_time_after(started, |e| matches!(e, mu::MemberEvent::GroupEstablished))
+    let finished = stats
+        .event_time_after(started, done)
         .expect("rebuild finished");
-    FailoverRow {
-        scenario: "new communication group",
-        system: System::P4ce,
-        detection_ms: 0.0,
-        recovery_ms: ms(done.duration_since(started)),
-        total_ms: ms(done.duration_since(started)),
-    }
-}
-
-fn trigger_rebuild_mu(d: &mut mu::Deployment, node: netsim::NodeId) {
-    d.sim.with_node::<Host<mu::MuMember>, _>(node, |host, ctx| {
-        host.with_ops(ctx, |member, ops| member.force_rebuild_comm(ops));
-    });
+    finished.duration_since(started)
 }
 
 /// Scenario 2: a replica crashes.
 pub fn crashed_replica(system: System) -> FailoverRow {
     match system {
         System::Mu => {
-            let mut d = mu::ClusterBuilder::new(3).workload(workload()).build();
+            let mut d = mu_cluster(false);
             d.sim.run_until(SimTime::from_millis(30));
             let t_kill = d.sim.now();
             d.kill_member(2);
@@ -152,9 +133,7 @@ pub fn crashed_replica(system: System) -> FailoverRow {
             let leader = d.leader();
             let excluded = leader
                 .stats
-                .event_time_after(t_kill, |e| {
-                    matches!(e, mu::MemberEvent::ReplicaExcluded { .. })
-                })
+                .event_time_after(t_kill, |e| matches!(e, MemberEvent::ReplicaExcluded { .. }))
                 .expect("replica excluded");
             let det = excluded.duration_since(t_kill);
             FailoverRow {
@@ -166,7 +145,7 @@ pub fn crashed_replica(system: System) -> FailoverRow {
             }
         }
         System::P4ce => {
-            let mut d = p4ce::ClusterBuilder::new(3).workload(workload()).build();
+            let mut d = p4ce_cluster(false);
             d.sim.run_until(SimTime::from_millis(80));
             let t_kill = d.sim.now();
             d.kill_member(2);
@@ -174,11 +153,11 @@ pub fn crashed_replica(system: System) -> FailoverRow {
             let leader = d.leader();
             let started = leader
                 .stats
-                .event_time_after(t_kill, |e| matches!(e, mu::MemberEvent::CommRebuildStarted))
+                .event_time_after(t_kill, |e| matches!(e, MemberEvent::CommRebuildStarted))
                 .expect("rebuild started");
             let done = leader
                 .stats
-                .event_time_after(started, |e| matches!(e, mu::MemberEvent::GroupEstablished))
+                .event_time_after(started, |e| matches!(e, MemberEvent::GroupEstablished))
                 .expect("group rebuilt");
             FailoverRow {
                 scenario: "crashed replica",
@@ -194,48 +173,8 @@ pub fn crashed_replica(system: System) -> FailoverRow {
 /// Scenario 3: the leader crashes; the next-lowest member takes over.
 pub fn crashed_leader(system: System) -> FailoverRow {
     let (detection, recovery) = match system {
-        System::Mu => {
-            let mut d = mu::ClusterBuilder::new(3).workload(workload()).build();
-            d.sim.run_until(SimTime::from_millis(30));
-            let t_kill = d.sim.now();
-            d.kill_member(0);
-            d.sim.run_until(t_kill + SimDuration::from_millis(200));
-            let new_leader = d.member(1);
-            let became = new_leader
-                .stats
-                .event_time_after(t_kill, |e| {
-                    matches!(e, mu::MemberEvent::BecameLeader { .. })
-                })
-                .expect("took over");
-            let first = new_leader
-                .stats
-                .event_time_after(became, |e| {
-                    matches!(e, mu::MemberEvent::FirstDecision { .. })
-                })
-                .expect("decided");
-            (became.duration_since(t_kill), first.duration_since(became))
-        }
-        System::P4ce => {
-            let mut d = p4ce::ClusterBuilder::new(3).workload(workload()).build();
-            d.sim.run_until(SimTime::from_millis(80));
-            let t_kill = d.sim.now();
-            d.kill_member(0);
-            d.sim.run_until(t_kill + SimDuration::from_millis(300));
-            let new_leader = d.member(1);
-            let became = new_leader
-                .stats
-                .event_time_after(t_kill, |e| {
-                    matches!(e, mu::MemberEvent::BecameLeader { .. })
-                })
-                .expect("took over");
-            let first = new_leader
-                .stats
-                .event_time_after(became, |e| {
-                    matches!(e, mu::MemberEvent::FirstDecision { .. })
-                })
-                .expect("decided");
-            (became.duration_since(t_kill), first.duration_since(became))
-        }
+        System::Mu => takeover(mu_cluster(false), 30, 200),
+        System::P4ce => takeover(p4ce_cluster(false), 80, 300),
     };
     FailoverRow {
         scenario: "crashed leader",
@@ -246,60 +185,34 @@ pub fn crashed_leader(system: System) -> FailoverRow {
     }
 }
 
+/// Kills the leader at `settle_ms`; returns (kill → takeover, takeover →
+/// first decision) as seen by member 1 within `observe_ms`.
+fn takeover<C: Comm>(
+    mut d: mu::Deployment<C>,
+    settle_ms: u64,
+    observe_ms: u64,
+) -> (SimDuration, SimDuration) {
+    d.sim.run_until(SimTime::from_millis(settle_ms));
+    let t_kill = d.sim.now();
+    d.kill_member(0);
+    d.sim
+        .run_until(t_kill + SimDuration::from_millis(observe_ms));
+    let stats = &d.member(1).stats;
+    let became = stats
+        .event_time_after(t_kill, |e| matches!(e, MemberEvent::BecameLeader { .. }))
+        .expect("took over");
+    let first = stats
+        .event_time_after(became, |e| matches!(e, MemberEvent::FirstDecision { .. }))
+        .expect("decided");
+    (became.duration_since(t_kill), first.duration_since(became))
+}
+
 /// Scenario 4: the switch dies; the cluster reroutes over the backup
 /// fabric (both systems pay the RDMA timeout + reconnection penalty).
 pub fn crashed_switch(system: System) -> FailoverRow {
     let (detection, total) = match system {
-        System::Mu => {
-            let mut d = mu::ClusterBuilder::new(3)
-                .workload(workload())
-                .backup_fabric(true)
-                .build();
-            d.sim.run_until(SimTime::from_millis(30));
-            let t_kill = d.sim.now();
-            d.kill_switch();
-            d.sim.run_until(t_kill + SimDuration::from_millis(300));
-            let leader = d.leader();
-            let failover = leader
-                .stats
-                .event_time_after(t_kill, |e| matches!(e, mu::MemberEvent::PathFailover))
-                .expect("path failover");
-            let first = leader
-                .stats
-                .event_time_after(failover, |e| {
-                    matches!(e, mu::MemberEvent::FirstDecision { .. })
-                })
-                .expect("decided after recovery");
-            (
-                failover.duration_since(t_kill),
-                first.duration_since(t_kill),
-            )
-        }
-        System::P4ce => {
-            let mut d = p4ce::ClusterBuilder::new(3)
-                .workload(workload())
-                .backup_fabric(true)
-                .build();
-            d.sim.run_until(SimTime::from_millis(80));
-            let t_kill = d.sim.now();
-            d.kill_switch();
-            d.sim.run_until(t_kill + SimDuration::from_millis(300));
-            let leader = d.leader();
-            let failover = leader
-                .stats
-                .event_time_after(t_kill, |e| matches!(e, mu::MemberEvent::PathFailover))
-                .expect("path failover");
-            let first = leader
-                .stats
-                .event_time_after(failover, |e| {
-                    matches!(e, mu::MemberEvent::FirstDecision { .. })
-                })
-                .expect("decided after recovery");
-            (
-                failover.duration_since(t_kill),
-                first.duration_since(t_kill),
-            )
-        }
+        System::Mu => reroute(mu_cluster(true), 30),
+        System::P4ce => reroute(p4ce_cluster(true), 80),
     };
     FailoverRow {
         scenario: "crashed switch",
@@ -308,6 +221,26 @@ pub fn crashed_switch(system: System) -> FailoverRow {
         recovery_ms: ms(total - detection),
         total_ms: ms(total),
     }
+}
+
+/// Powers the switch off at `settle_ms`; returns (kill → path
+/// fail-over, kill → first decision on the backup fabric).
+fn reroute<C: Comm>(mut d: mu::Deployment<C>, settle_ms: u64) -> (SimDuration, SimDuration) {
+    d.sim.run_until(SimTime::from_millis(settle_ms));
+    let t_kill = d.sim.now();
+    d.kill_switch();
+    d.sim.run_until(t_kill + SimDuration::from_millis(300));
+    let stats = &d.leader().stats;
+    let failover = stats
+        .event_time_after(t_kill, |e| matches!(e, MemberEvent::PathFailover))
+        .expect("path failover");
+    let first = stats
+        .event_time_after(failover, |e| matches!(e, MemberEvent::FirstDecision { .. }))
+        .expect("decided after recovery");
+    (
+        failover.duration_since(t_kill),
+        first.duration_since(t_kill),
+    )
 }
 
 /// Runs all of Table IV.

@@ -452,18 +452,8 @@ impl Target {
         let n = spec.n_members;
         let ips: Vec<Ipv4Addr> = (0..n).map(member_ip).collect();
         match self {
-            Target::P4ce(d) => (0..n)
-                .map(|i| {
-                    let host = d.sim.node_ref::<Host<p4ce::P4ceMember>>(d.members[i]);
-                    probe_from(host.app(), host, i, &ips)
-                })
-                .collect(),
-            Target::Mu(d) => (0..n)
-                .map(|i| {
-                    let host = d.sim.node_ref::<Host<mu::MuMember>>(d.members[i]);
-                    probe_from(host.app(), host, i, &ips)
-                })
-                .collect(),
+            Target::P4ce(d) => deployment_probes(d, &ips),
+            Target::Mu(d) => deployment_probes(d, &ips),
             Target::Sharded(_) => unreachable!("sharded targets use sharded_probes"),
         }
     }
@@ -481,8 +471,11 @@ impl Target {
                     .collect();
                 (0..spec.n_members)
                     .map(|i| {
-                        let host = d.sim.node_ref::<Host<p4ce::P4ceMember>>(d.members[g][i]);
-                        probe_from(host.app(), host, i, &ips)
+                        probe_from(
+                            d.sim.node_ref::<Host<p4ce::P4ceMember>>(d.members[g][i]),
+                            i,
+                            &ips,
+                        )
                     })
                     .collect()
             })
@@ -490,57 +483,14 @@ impl Target {
     }
 }
 
-/// The member-state surface both systems expose to the oracles.
-trait Probeable {
-    fn state_machine(&self) -> Option<&dyn replication::StateMachine>;
-    fn next_apply_seq(&self) -> u64;
-    fn epoch_leader(&self) -> Option<Ipv4Addr>;
-    fn log_region(&self) -> Option<rdma::RegionHandle>;
-    fn events(&self) -> &[(netsim::SimTime, MemberEvent)];
+fn deployment_probes<C: mu::Comm>(d: &mu::Deployment<C>, ips: &[Ipv4Addr]) -> Vec<MemberProbe> {
+    (0..ips.len())
+        .map(|i| probe_from(d.sim.node_ref::<Host<mu::Member<C>>>(d.members[i]), i, ips))
+        .collect()
 }
 
-impl Probeable for p4ce::P4ceMember {
-    fn state_machine(&self) -> Option<&dyn replication::StateMachine> {
-        self.state_machine()
-    }
-    fn next_apply_seq(&self) -> u64 {
-        self.next_apply_seq()
-    }
-    fn epoch_leader(&self) -> Option<Ipv4Addr> {
-        self.epoch_leader()
-    }
-    fn log_region(&self) -> Option<rdma::RegionHandle> {
-        self.log_region()
-    }
-    fn events(&self) -> &[(netsim::SimTime, MemberEvent)] {
-        &self.stats.events
-    }
-}
-
-impl Probeable for mu::MuMember {
-    fn state_machine(&self) -> Option<&dyn replication::StateMachine> {
-        self.state_machine()
-    }
-    fn next_apply_seq(&self) -> u64 {
-        self.next_apply_seq()
-    }
-    fn epoch_leader(&self) -> Option<Ipv4Addr> {
-        self.epoch_leader()
-    }
-    fn log_region(&self) -> Option<rdma::RegionHandle> {
-        self.log_region()
-    }
-    fn events(&self) -> &[(netsim::SimTime, MemberEvent)] {
-        &self.stats.events
-    }
-}
-
-fn probe_from<A: rdma::RdmaApp>(
-    app: &dyn Probeable,
-    host: &Host<A>,
-    i: usize,
-    ips: &[Ipv4Addr],
-) -> MemberProbe {
+fn probe_from<C: mu::Comm>(host: &Host<mu::Member<C>>, i: usize, ips: &[Ipv4Addr]) -> MemberProbe {
+    let app = host.app();
     let mut write_grants = Vec::new();
     if let Some(region) = app.log_region() {
         // Audit cluster members only: the switch is a conduit whose
@@ -557,7 +507,7 @@ fn probe_from<A: rdma::RdmaApp>(
         .map(|rec| (rec.seqs.clone(), rec.payloads.clone()))
         .unwrap_or_default();
     let mut leader_claims = Vec::new();
-    for (_, ev) in app.events() {
+    for (_, ev) in &app.stats.events {
         if let MemberEvent::BecameLeader { view } | MemberEvent::LeaderOperational { view } = ev {
             let claim = (*view, i as u8);
             if !leader_claims.contains(&claim) {

@@ -166,45 +166,10 @@ fn run_mu(cfg: &PointConfig, metrics: Option<&mut MetricsRegistry>) -> PointOutc
         .seed(cfg.seed)
         .tracer(cfg.tracer.clone())
         .build();
-    let deadline = SimTime::ZERO + setup_deadline();
-    while !d.leader().is_operational_leader() {
-        assert!(d.sim.now() < deadline, "Mu leader never became operational");
-        d.sim.run_for(SimDuration::from_millis(1));
-    }
-    d.sim.run_for(cfg.warmup);
-    let t0 = d.sim.now();
-    d.member_mut(0).reset_measurements(t0);
-    if cfg.histogram_latency {
-        d.member_mut(0).stats.latency.use_histogram();
-    }
-    d.sim.run_for(cfg.window);
-    let now = d.sim.now();
-    let events_processed = d.sim.events_processed();
-    if let Some(reg) = metrics {
-        for i in 0..=cfg.replicas {
-            d.member(i).stats.register_into(reg, &format!("member.{i}"));
-            d.sim
-                .node_ref::<Host<mu::MuMember>>(d.members[i])
-                .stats()
-                .register_into(reg, &format!("host.{i}"));
-        }
-    }
-    let leader = d.member_mut(0);
-    let stats = &mut leader.stats;
-    PointOutcome {
-        decided: stats.throughput.ops(),
-        ops_per_sec: stats.throughput.ops_per_sec(now),
-        goodput_bytes_per_sec: stats.throughput.goodput_bytes_per_sec(now),
-        mean_latency_us: stats.latency.mean().as_micros_f64(),
-        p50_latency_us: stats.latency.percentile(50.0).as_micros_f64(),
-        p99_latency_us: stats.latency.percentile(99.0).as_micros_f64(),
-        accelerated: false,
-        events_processed,
-        threads_used: 1,
-    }
+    measure(&mut d, cfg, metrics, "Mu")
 }
 
-fn run_p4ce(cfg: &PointConfig, metrics: Option<&mut MetricsRegistry>) -> PointOutcome {
+fn run_p4ce(cfg: &PointConfig, mut metrics: Option<&mut MetricsRegistry>) -> PointOutcome {
     let mut builder = p4ce::ClusterBuilder::new(cfg.replicas + 1)
         .workload(sanitize(cfg.workload))
         .seed(cfg.seed)
@@ -214,11 +179,27 @@ fn run_p4ce(cfg: &PointConfig, metrics: Option<&mut MetricsRegistry>) -> PointOu
         builder = builder.parser_cost(parser_cost);
     }
     let mut d = builder.build();
+    let mut outcome = measure(&mut d, cfg, metrics.as_deref_mut(), "P4CE");
+    outcome.accelerated = d.leader().is_accelerated();
+    if let Some(reg) = metrics {
+        d.switch_program().stats.register_into(reg, "switch");
+    }
+    outcome
+}
+
+/// Waits for the leader, warms up, and measures the leader over the
+/// point's window.
+fn measure<C: mu::Comm>(
+    d: &mut mu::Deployment<C>,
+    cfg: &PointConfig,
+    metrics: Option<&mut MetricsRegistry>,
+    system: &str,
+) -> PointOutcome {
     let deadline = SimTime::ZERO + setup_deadline();
     while !d.leader().is_operational_leader() {
         assert!(
             d.sim.now() < deadline,
-            "P4CE leader never became operational"
+            "{system} leader never became operational"
         );
         d.sim.run_for(SimDuration::from_millis(1));
     }
@@ -230,20 +211,17 @@ fn run_p4ce(cfg: &PointConfig, metrics: Option<&mut MetricsRegistry>) -> PointOu
     }
     d.sim.run_for(cfg.window);
     let now = d.sim.now();
-    let accelerated = d.leader().is_accelerated();
     let events_processed = d.sim.events_processed();
     if let Some(reg) = metrics {
         for i in 0..=cfg.replicas {
             d.member(i).stats.register_into(reg, &format!("member.{i}"));
             d.sim
-                .node_ref::<Host<p4ce::P4ceMember>>(d.members[i])
+                .node_ref::<Host<mu::Member<C>>>(d.members[i])
                 .stats()
                 .register_into(reg, &format!("host.{i}"));
         }
-        d.switch_program().stats.register_into(reg, "switch");
     }
-    let leader = d.member_mut(0);
-    let stats = &mut leader.stats;
+    let stats = &mut d.member_mut(0).stats;
     PointOutcome {
         decided: stats.throughput.ops(),
         ops_per_sec: stats.throughput.ops_per_sec(now),
@@ -251,7 +229,7 @@ fn run_p4ce(cfg: &PointConfig, metrics: Option<&mut MetricsRegistry>) -> PointOu
         mean_latency_us: stats.latency.mean().as_micros_f64(),
         p50_latency_us: stats.latency.percentile(50.0).as_micros_f64(),
         p99_latency_us: stats.latency.percentile(99.0).as_micros_f64(),
-        accelerated,
+        accelerated: false,
         events_processed,
         threads_used: 1,
     }

@@ -1,13 +1,15 @@
 //! One-call construction of a Mu deployment: members behind a plain L3
 //! switch fabric, with an optional backup fabric.
 
-use netsim::{LinkSpec, NodeId, SimDuration, Simulation, Tracer};
+use netsim::{LinkSpec, SimDuration, Simulation, Tracer};
 use rdma::{Host, HostConfig};
 use replication::{ClusterConfig, MemberId, ProtocolTiming, WorkloadSpec};
 use std::net::Ipv4Addr;
 use tofino::{L3Forwarder, Switch, SwitchConfig};
 
-use crate::member::{MuMember, MuMemberConfig};
+use crate::deployment::Deployment;
+use crate::direct::MuMember;
+use crate::member::MuMemberConfig;
 
 /// Builds a ready-to-run Mu cluster inside a [`Simulation`].
 ///
@@ -179,77 +181,6 @@ impl ClusterBuilder {
             None
         };
 
-        Deployment {
-            sim,
-            cluster,
-            members,
-            switch,
-            backup,
-        }
-    }
-}
-
-/// A built Mu deployment.
-pub struct Deployment {
-    /// The simulation to drive.
-    pub sim: Simulation,
-    /// The cluster description.
-    pub cluster: ClusterConfig,
-    /// Member node ids, in member-id order.
-    pub members: Vec<NodeId>,
-    /// The fabric switch node id.
-    pub switch: NodeId,
-    /// The backup fabric node id, if built.
-    pub backup: Option<NodeId>,
-}
-
-impl Deployment {
-    /// The member application of member `i`.
-    pub fn member(&self, i: usize) -> &MuMember {
-        self.sim.node_ref::<Host<MuMember>>(self.members[i]).app()
-    }
-
-    /// Mutable access to member `i` (e.g. to reset measurement windows).
-    pub fn member_mut(&mut self, i: usize) -> &mut MuMember {
-        self.sim
-            .node_mut::<Host<MuMember>>(self.members[i])
-            .app_mut()
-    }
-
-    /// Runs a closure against member `i` with live host operations.
-    pub fn with_member<R>(
-        &mut self,
-        i: usize,
-        f: impl FnOnce(&mut MuMember, &mut rdma::HostOps<'_, '_>) -> R,
-    ) -> R {
-        let node = self.members[i];
-        self.sim
-            .with_node::<Host<MuMember>, _>(node, |host, ctx| host.with_ops(ctx, f))
-    }
-
-    /// The steady-state leader (member 0).
-    pub fn leader(&self) -> &MuMember {
-        self.member(0)
-    }
-
-    /// Crashes member `i`.
-    pub fn kill_member(&mut self, i: usize) {
-        let node = self.members[i];
-        self.sim.set_node_down(node, true);
-    }
-
-    /// Powers the fabric switch off.
-    pub fn kill_switch(&mut self) {
-        let node = self.switch;
-        self.sim.set_node_down(node, true);
-    }
-}
-
-impl std::fmt::Debug for Deployment {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("mu::Deployment")
-            .field("members", &self.members.len())
-            .field("backup", &self.backup.is_some())
-            .finish()
+        Deployment::new(sim, cluster, members, switch, backup)
     }
 }

@@ -10,14 +10,23 @@
 //! The interesting property for the paper's evaluation: Mu's leader
 //! divides its network link and its CPU across `n` replicas, which is
 //! exactly the bottleneck P4CE removes.
+//!
+//! The decision module is written once, as [`Member`], generic over a
+//! [`Comm`] strategy: [`Direct`] is Mu's communication, and the `p4ce`
+//! crate plugs its switch group (with fallback to the same direct links)
+//! into the same member. [`MuMember`] is `Member<Direct>`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod builder;
+mod deployment;
+mod direct;
 mod member;
 mod stats;
 
-pub use builder::{ClusterBuilder, Deployment};
-pub use member::{MuMember, MuMemberConfig};
+pub use builder::ClusterBuilder;
+pub use deployment::Deployment;
+pub use direct::{Direct, MuMember};
+pub use member::{Accelerator, Comm, Member, MuMemberConfig, WR_STRATEGY};
 pub use stats::{MemberEvent, MemberStats};

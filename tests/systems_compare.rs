@@ -149,6 +149,12 @@ macro_rules! decided_log {
         }
         // Drain: let retransmissions finish and replicas apply the tail.
         $d.sim.run_for(SimDuration::from_millis(3));
+        let leader = &$d.member(0).stats;
+        assert_eq!(
+            leader.latency.len() as u64,
+            leader.decided,
+            "every externally proposed value that was decided has a latency sample"
+        );
 
         (0..$n)
             .map(|i| {
