@@ -717,13 +717,16 @@ fn main() {
     let mut fo_samples = 0usize;
     for _ in 0..5 {
         let t = Instant::now();
-        let a = run_failover(&fo_cfg);
+        let a = run_failover(&fo_cfg, 1);
         sampled_ms = sampled_ms.min(t.elapsed().as_secs_f64() * 1e3);
         let t = Instant::now();
-        let b = run_failover(&FailoverConfig {
-            sample: false,
-            ..fo_cfg
-        });
+        let b = run_failover(
+            &FailoverConfig {
+                sample: false,
+                ..fo_cfg
+            },
+            1,
+        );
         unsampled_ms = unsampled_ms.min(t.elapsed().as_secs_f64() * 1e3);
         fo_identical &= a.group_decided == b.group_decided
             && a.events_processed == b.events_processed

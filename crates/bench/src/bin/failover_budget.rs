@@ -52,7 +52,7 @@ fn main() {
     for s in &scenarios {
         let out = s.run();
         rows.push(e10_failover::row(s, &out));
-        if canonical.is_none() && s.groups.is_none() && s.cfg.chaos.is_none() {
+        if canonical.is_none() && s.groups == 1 && s.cfg.chaos.is_none() {
             canonical = Some(out);
         }
     }

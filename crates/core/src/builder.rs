@@ -1,17 +1,23 @@
-//! One-call construction of a complete P4CE deployment: members, the
-//! P4CE-programmed switch, links and routes — and optionally a backup
-//! plain-L3 fabric for switch-crash experiments.
+//! One-call construction of a complete P4CE deployment: one or more
+//! consensus groups behind the P4CE-programmed switch — and optionally a
+//! backup plain-L3 fabric for switch-crash experiments. The members,
+//! switch, links and routes are wired by [`mu::ClusterBuilder::wire`],
+//! the same code that builds Mu.
 
-use netsim::{LinkSpec, SimDuration, Simulation, Tracer};
-use p4ce_switch::{AckDropStage, P4ceProgram, P4ceSwitchConfig};
-use rdma::{Host, HostConfig};
-use replication::{ClusterConfig, MemberId, ProtocolTiming, WorkloadSpec};
-use std::net::Ipv4Addr;
-use tofino::{L3Forwarder, Switch, SwitchConfig};
+use netsim::{LinkSpec, SimDuration, Tracer};
+use p4ce_switch::{AckDropStage, GroupSpec, P4ceProgram, P4ceSwitchConfig};
+use replication::{ProtocolTiming, WorkloadSpec};
+use tofino::SwitchConfig;
 
-use crate::member::{P4ceMember, P4ceMemberConfig, SwitchGroup};
+use crate::member::{P4ceMemberConfig, SwitchGroup};
 
-/// Builds a ready-to-run P4CE cluster inside a [`Simulation`].
+/// The most members one P4CE group can have: the leader's group request
+/// names every replica in CM private data ([`GroupSpec::MAX_REPLICAS`]).
+pub const MAX_GROUP_MEMBERS: usize = GroupSpec::MAX_REPLICAS + 1;
+
+/// Builds a ready-to-run P4CE deployment inside a
+/// [`netsim::Simulation`]: `groups` groups (one by default) of
+/// `n_members` members each, behind one switch.
 ///
 /// ```
 /// use p4ce::{ClusterBuilder};
@@ -23,58 +29,67 @@ use crate::member::{P4ceMember, P4ceMemberConfig, SwitchGroup};
 ///     .build();
 /// deployment.sim.run_until(SimTime::from_millis(100));
 /// assert_eq!(deployment.leader().stats.decided, 200);
+///
+/// // Two groups behind the one switch; member `i` of group `g` is
+/// // `d.member(d.at(g, i))`.
+/// let mut d = ClusterBuilder::new(3).groups(2).build();
+/// d.sim.run_until(SimTime::from_millis(100));
+/// assert!(d.member(d.at(1, 0)).is_accelerated());
 /// ```
 #[derive(Debug, Clone)]
 pub struct ClusterBuilder {
-    n_members: usize,
-    workload: Option<WorkloadSpec>,
+    base: mu::ClusterBuilder,
+    groups: usize,
     switch_cfg: P4ceSwitchConfig,
-    link: LinkSpec,
-    backup_fabric: bool,
-    seed: u64,
     async_reconfig: bool,
     parser_cost: Option<SimDuration>,
-    verb_cost: Option<SimDuration>,
-    tweak_rx_capacity: Vec<(usize, usize)>,
+    parser_slices: Option<usize>,
     tweak_rx_cost: Vec<(usize, SimDuration)>,
-    timing: Option<ProtocolTiming>,
-    log_size: Option<usize>,
     skip_epoch_revoke: bool,
     reaccel_period: Option<SimDuration>,
-    tracer: Tracer,
 }
 
 impl ClusterBuilder {
-    /// A cluster of `n_members` (1 leader + n-1 replicas at steady state).
+    /// A group of `n_members` (1 leader + n-1 replicas at steady state).
     ///
     /// # Panics
     ///
-    /// Panics if `n_members < 2`.
+    /// Panics if `n_members < 2` or `n_members > MAX_GROUP_MEMBERS`.
     pub fn new(n_members: usize) -> Self {
-        assert!(n_members >= 2, "a cluster needs at least two members");
+        assert!(
+            n_members <= MAX_GROUP_MEMBERS,
+            "{n_members} members per P4CE group: the group request to the switch \
+             names at most {} replicas, so a group has at most {MAX_GROUP_MEMBERS} members",
+            GroupSpec::MAX_REPLICAS
+        );
         ClusterBuilder {
-            n_members,
-            workload: None,
+            base: mu::ClusterBuilder::new(n_members),
+            groups: 1,
             switch_cfg: P4ceSwitchConfig::default(),
-            link: LinkSpec::default(),
-            backup_fabric: false,
-            seed: 42,
             async_reconfig: false,
             parser_cost: None,
-            verb_cost: None,
-            tweak_rx_capacity: Vec::new(),
+            parser_slices: None,
             tweak_rx_cost: Vec::new(),
-            timing: None,
-            log_size: None,
             skip_epoch_revoke: false,
             reaccel_period: None,
-            tracer: Tracer::disabled(),
         }
     }
 
-    /// Sets the leader-driven workload.
+    /// Builds `groups` independent consensus groups of this size behind
+    /// the one switch (default 1). Group `g`'s members are
+    /// `10.0.g.(1+i)` and trace as `g{g}m{i}`.
+    ///
+    /// # Panics
+    ///
+    /// Panics at build time if `groups` is zero or more than 256.
+    pub fn groups(mut self, groups: usize) -> Self {
+        self.groups = groups;
+        self
+    }
+
+    /// Sets the leader-driven workload (every group's leader drives it).
     pub fn workload(mut self, spec: WorkloadSpec) -> Self {
-        self.workload = Some(spec);
+        self.base = self.base.workload(spec);
         self
     }
 
@@ -99,14 +114,14 @@ impl ClusterBuilder {
 
     /// Overrides the link characteristics.
     pub fn link(mut self, link: LinkSpec) -> Self {
-        self.link = link;
+        self.base = self.base.link(link);
         self
     }
 
     /// Adds a second, plain-L3 fabric every host is also connected to
     /// (needed for the switch-crash fail-over experiment).
     pub fn backup_fabric(mut self, enable: bool) -> Self {
-        self.backup_fabric = enable;
+        self.base = self.base.backup_fabric(enable);
         self
     }
 
@@ -119,14 +134,14 @@ impl ClusterBuilder {
 
     /// Sets the deterministic simulation seed.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.base = self.base.seed(seed);
         self
     }
 
     /// Overrides the link-management and failure-detection timing (chaos
     /// tests tighten these to provoke reconnects quickly).
     pub fn timing(mut self, timing: ProtocolTiming) -> Self {
-        self.timing = Some(timing);
+        self.base = self.base.timing(timing);
         self
     }
 
@@ -134,7 +149,7 @@ impl ClusterBuilder {
     /// Model-checking runs shrink it so thousands of re-executions stay
     /// cheap.
     pub fn log_size(mut self, bytes: usize) -> Self {
-        self.log_size = Some(bytes);
+        self.base = self.base.log_size(bytes);
         self
     }
 
@@ -164,10 +179,11 @@ impl ClusterBuilder {
     }
 
     /// Attaches a trace sink. Member hosts emit records labelled `m0`,
-    /// `m1`, …; the P4CE switch emits as `switch`. Disabled by default —
-    /// the hot paths then pay a single branch per potential event.
+    /// `m1`, … (`g{g}m{i}` with several groups); the P4CE switch emits as
+    /// `switch`. Disabled by default — the hot paths then pay a single
+    /// branch per potential event.
     pub fn tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
+        self.base = self.base.tracer(tracer);
         self
     }
 
@@ -178,21 +194,29 @@ impl ClusterBuilder {
         self
     }
 
+    /// Pools the switch's ports onto `k` shared parser slices per
+    /// direction (see [`SwitchConfig::parser_slices`]) — the contention
+    /// model the groups-sweep experiment drives into its knee.
+    pub fn parser_slices(mut self, k: usize) -> Self {
+        self.parser_slices = Some(k);
+        self
+    }
+
     /// Overrides every host's CPU cost per verb interaction (post/reap) —
     /// the calibration knob behind the paper's CPU-bound rates.
     pub fn verb_cost(mut self, cost: SimDuration) -> Self {
-        self.verb_cost = Some(cost);
+        self.base = self.base.verb_cost(cost);
         self
     }
 
-    /// Shrinks member `i`'s NIC receive capacity (slow-replica credit
+    /// Shrinks member `k`'s NIC receive capacity (slow-replica credit
     /// experiments).
     pub fn member_rx_capacity(mut self, member: usize, capacity: usize) -> Self {
-        self.tweak_rx_capacity.push((member, capacity));
+        self.base = self.base.member_rx_capacity(member, capacity);
         self
     }
 
-    /// Slows member `i`'s NIC receive engine (per-packet processing
+    /// Slows member `k`'s NIC receive engine (per-packet processing
     /// cost) — a straggling replica.
     pub fn member_rx_cost(mut self, member: usize, cost: SimDuration) -> Self {
         self.tweak_rx_cost.push((member, cost));
@@ -201,79 +225,27 @@ impl ClusterBuilder {
 
     /// Assembles the simulation.
     pub fn build(self) -> Deployment {
-        let member_ip = |i: usize| Ipv4Addr::new(10, 0, 0, 1 + i as u8);
-        let switch_ip = Ipv4Addr::new(10, 0, 0, 100);
-        let ips: Vec<Ipv4Addr> = (0..self.n_members).map(member_ip).collect();
-        let mut cluster = ClusterConfig::new(&ips);
-        if let Some(timing) = self.timing {
-            cluster.timing = timing;
-        }
-        if let Some(bytes) = self.log_size {
-            cluster.log_size = bytes;
-        }
-        let mut sim = Simulation::new(self.seed);
-
-        let mut members = Vec::new();
-        for i in 0..self.n_members {
-            let mut mcfg = P4ceMemberConfig::new(cluster.clone(), MemberId(i as u8), switch_ip);
-            mcfg.workload = self.workload;
-            mcfg.async_reconfig = self.async_reconfig;
-            mcfg.skip_epoch_revoke = self.skip_epoch_revoke;
-            if let Some(period) = self.reaccel_period {
-                mcfg.reaccel_period = period;
-            }
-            if self.backup_fabric {
-                // Ports follow connection order: the primary fabric is
-                // connected first (port 0), the backup second (port 1).
-                mcfg.backup_port = Some(netsim::PortId::from_index(1));
-                mcfg.path_failover_delay = SimDuration::from_millis(55);
-            }
-            let mut hcfg = HostConfig::new(member_ip(i));
-            hcfg.tracer = self.tracer.labeled(&format!("m{i}"));
-            if let Some(cost) = self.verb_cost {
-                hcfg.post_cost = cost;
-                hcfg.reap_cost = cost;
-            }
-            if let Some(&(_, cap)) = self.tweak_rx_capacity.iter().find(|&&(m, _)| m == i) {
-                hcfg.rx_capacity = cap;
-            }
-            if let Some(&(_, cost)) = self.tweak_rx_cost.iter().find(|&&(m, _)| m == i) {
-                hcfg.nic_rx_cost = cost;
-            }
-            members.push(sim.add_node(Box::new(Host::new(hcfg, P4ceMember::new(mcfg)))));
-        }
-
-        let program = P4ceProgram::new(self.switch_cfg);
-        let mut hw = SwitchConfig::tofino1(switch_ip);
-        hw.tracer = self.tracer.labeled("switch");
+        let mut hw = SwitchConfig::tofino1(mu::SWITCH_IP);
         if let Some(cost) = self.parser_cost {
             hw.parser_cost = cost;
         }
-        let switch = sim.add_node(Box::new(Switch::new(hw, self.n_members, program)));
-        for (i, &m) in members.iter().enumerate() {
-            let (_, swp) = sim.connect(m, switch, self.link);
-            sim.node_mut::<Switch<P4ceProgram>>(switch)
-                .add_route(member_ip(i), swp);
-        }
-
-        let backup = if self.backup_fabric {
-            let backup_ip = Ipv4Addr::new(10, 0, 0, 101);
-            let b = sim.add_node(Box::new(Switch::new(
-                SwitchConfig::tofino1(backup_ip),
-                self.n_members,
-                L3Forwarder,
-            )));
-            for (i, &m) in members.iter().enumerate() {
-                let (_, swp) = sim.connect(m, b, self.link);
-                sim.node_mut::<Switch<L3Forwarder>>(b)
-                    .add_route(member_ip(i), swp);
+        hw.parser_slices = self.parser_slices;
+        let program = P4ceProgram::new(self.switch_cfg);
+        self.base.wire(self.groups, hw, program, |k, base, host| {
+            if let Some(&(_, cost)) = self.tweak_rx_cost.iter().find(|&&(m, _)| m == k) {
+                host.nic_rx_cost = cost;
             }
-            Some(b)
-        } else {
-            None
-        };
-
-        Deployment::new(sim, cluster, members, switch, backup)
+            let mut cfg = P4ceMemberConfig::new(base.cluster, base.id, mu::SWITCH_IP);
+            cfg.workload = base.workload;
+            cfg.backup_port = base.backup_port;
+            cfg.path_failover_delay = base.path_failover_delay;
+            cfg.async_reconfig = self.async_reconfig;
+            cfg.skip_epoch_revoke = self.skip_epoch_revoke;
+            if let Some(period) = self.reaccel_period {
+                cfg.reaccel_period = period;
+            }
+            cfg
+        })
     }
 }
 

@@ -22,6 +22,10 @@
 //! The decision module is Mu's, literally: [`P4ceMember`] is
 //! [`mu::Member`] over this crate's [`SwitchGroup`] communication
 //! strategy, and [`Deployment`] is [`mu::Deployment`] over the same.
+//! [`ClusterBuilder`] adds the switch program and P4CE's member settings
+//! to Mu's builder and shares its wiring; `.groups(g)` puts `g`
+//! independent consensus groups behind the one switch, whose per-group
+//! tables keep them apart.
 //!
 //! ## Quick start
 //!
@@ -52,11 +56,9 @@
 
 mod builder;
 mod member;
-mod shard;
 
-pub use builder::{ClusterBuilder, Deployment};
+pub use builder::{ClusterBuilder, Deployment, MAX_GROUP_MEMBERS};
 pub use member::{MemberEvent, MemberStats, P4ceMember, P4ceMemberConfig, SwitchGroup};
-pub use shard::{ShardedClusterBuilder, ShardedDeployment};
 
 // Re-export the pieces users need to drive a deployment.
 pub use netsim;

@@ -226,3 +226,27 @@ fn deterministic_across_runs() {
     };
     assert_eq!(run(1), run(1), "same seed, same trace");
 }
+
+#[test]
+#[should_panic(expected = "24 members per P4CE group")]
+fn a_group_too_large_for_the_switch_request_is_rejected_at_build() {
+    // 23 replicas need 2 + 4 x 23 = 94 bytes of CM private data; 92 fit.
+    let _ = ClusterBuilder::new(24).build();
+}
+
+#[test]
+fn the_largest_p4ce_group_builds_and_accelerates() {
+    assert_eq!(p4ce::MAX_GROUP_MEMBERS, 23);
+    let mut d = ClusterBuilder::new(23)
+        .switch_config(p4ce::P4ceSwitchConfig {
+            reconfig_delay: SimDuration::from_micros(500),
+            ..Default::default()
+        })
+        .log_size(64 << 10)
+        .build();
+    // The leader's first group request names all 22 replicas.
+    while !d.leader().is_accelerated() {
+        assert!(d.sim.now() < SimTime::from_millis(50), "never accelerated");
+        d.sim.run_for(SimDuration::from_millis(1));
+    }
+}

@@ -11,7 +11,7 @@
 use netsim::SimDuration;
 
 use crate::chaos::ChaosSpec;
-use crate::failover::{run_failover, run_failover_sharded, FailoverConfig, FailoverOutcome};
+use crate::failover::{run_failover, FailoverConfig, FailoverOutcome};
 use crate::report::{fmt_f64, TableRow};
 
 /// One leader-kill scenario of the sweep.
@@ -21,17 +21,14 @@ pub struct Scenario {
     pub label: &'static str,
     /// The failover configuration.
     pub cfg: FailoverConfig,
-    /// `Some(groups)` runs the sharded variant (group 0's leader dies).
-    pub groups: Option<usize>,
+    /// Consensus groups behind the switch (group 0's leader dies).
+    pub groups: usize,
 }
 
 impl Scenario {
     /// Runs the scenario.
     pub fn run(&self) -> FailoverOutcome {
-        match self.groups {
-            Some(g) => run_failover_sharded(&self.cfg, g),
-            None => run_failover(&self.cfg),
-        }
+        run_failover(&self.cfg, self.groups)
     }
 }
 
@@ -48,7 +45,7 @@ pub fn configs(quick: bool) -> Vec<Scenario> {
             Scenario {
                 label: "clean kill",
                 cfg: base,
-                groups: None,
+                groups: 1,
             },
             Scenario {
                 label: "kill + storm",
@@ -57,12 +54,12 @@ pub fn configs(quick: bool) -> Vec<Scenario> {
                     observe_for: SimDuration::from_millis(100),
                     ..base
                 },
-                groups: None,
+                groups: 1,
             },
             Scenario {
                 label: "sharded kill (2 groups)",
                 cfg: base,
-                groups: Some(2),
+                groups: 2,
             },
         ];
     }
@@ -76,7 +73,7 @@ pub fn configs(quick: bool) -> Vec<Scenario> {
                     kill_after: SimDuration::from_millis(kill_ms),
                     ..base
                 },
-                groups: None,
+                groups: 1,
             });
         }
         out.push(Scenario {
@@ -87,12 +84,12 @@ pub fn configs(quick: bool) -> Vec<Scenario> {
                 observe_for: SimDuration::from_millis(100),
                 ..base
             },
-            groups: None,
+            groups: 1,
         });
         out.push(Scenario {
             label: "sharded kill (2 groups)",
             cfg: FailoverConfig { seed, ..base },
-            groups: Some(2),
+            groups: 2,
         });
     }
     out

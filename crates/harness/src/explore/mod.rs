@@ -59,8 +59,8 @@ pub struct ExploreSpec {
     /// Cluster size (members *per group* when `groups > 1`).
     pub n_members: usize,
     /// Consensus groups sharing the switch. 1 = the classic single-group
-    /// deployment; ≥ 2 builds a [`p4ce::ShardedDeployment`] and audits
-    /// each group with the full oracle suite plus group isolation
+    /// deployment; ≥ 2 builds that many P4CE groups behind one switch and
+    /// audits each group with the full oracle suite plus group isolation
     /// (explored proposals carry a 2-byte group tag).
     pub groups: u16,
     /// **Test-only mutation**: cross-wire the switch's per-group scatter
@@ -281,11 +281,6 @@ pub struct ScheduleOutcome {
 enum Target {
     P4ce(p4ce::Deployment),
     Mu(mu::Deployment),
-    Sharded(p4ce::ShardedDeployment),
-}
-
-fn member_ip(i: usize) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 0, 1 + i as u8)
 }
 
 impl Target {
@@ -293,51 +288,27 @@ impl Target {
         // A small log keeps per-schedule allocation negligible; model
         // checking re-builds the deployment thousands of times.
         let log_size = 64 << 10;
-        if spec.groups > 1 {
-            assert_eq!(
-                spec.system,
-                System::P4ce,
-                "multi-group exploration targets the shared switch"
-            );
-            let switch_cfg = p4ce_switch::P4ceSwitchConfig {
-                p4ce_enabled: spec.p4ce_enabled,
-                crosswire_groups: spec.crosswire_groups,
-                reconfig_delay: SimDuration::from_micros(500),
-                ..Default::default()
-            };
-            let mut d = p4ce::ShardedClusterBuilder::new(usize::from(spec.groups), spec.n_members)
-                .seed(spec.seed)
-                .log_size(log_size)
-                .switch_config(switch_cfg)
-                .reaccel_period(SimDuration::from_millis(5))
-                .tracer(tracer.clone())
-                .build();
-            for g in 0..usize::from(spec.groups) {
-                for i in 0..spec.n_members {
-                    d.member_mut(g, i)
-                        .set_state_machine(Box::new(ChaosRecorder::default()));
-                }
-            }
-            return Target::Sharded(d);
-        }
+        let groups = usize::from(spec.groups);
         match spec.system {
             System::P4ce => {
-                let mut switch_cfg = p4ce_switch::P4ceSwitchConfig {
-                    p4ce_enabled: spec.p4ce_enabled,
-                    ..Default::default()
-                };
                 // Shrink control-plane latencies so the un-explored
                 // setup phase is short: the switch reconfigures fast,
                 // and (behind a plain fabric) the leader gives up on
                 // acceleration fast. Keep re-probe ≥ reconfig so a
                 // healthy handshake still completes between probes.
-                switch_cfg.reconfig_delay = SimDuration::from_micros(500);
+                let switch_cfg = p4ce_switch::P4ceSwitchConfig {
+                    p4ce_enabled: spec.p4ce_enabled,
+                    crosswire_groups: spec.crosswire_groups,
+                    reconfig_delay: SimDuration::from_micros(500),
+                    ..Default::default()
+                };
                 let reaccel = if spec.p4ce_enabled {
                     SimDuration::from_millis(5)
                 } else {
                     SimDuration::from_micros(200)
                 };
                 let mut d = p4ce::ClusterBuilder::new(spec.n_members)
+                    .groups(groups)
                     .seed(spec.seed)
                     .log_size(log_size)
                     .switch_config(switch_cfg)
@@ -345,13 +316,14 @@ impl Target {
                     .reaccel_period(reaccel)
                     .tracer(tracer.clone())
                     .build();
-                for i in 0..spec.n_members {
-                    d.member_mut(i)
+                for k in 0..d.members.len() {
+                    d.member_mut(k)
                         .set_state_machine(Box::new(ChaosRecorder::default()));
                 }
                 Target::P4ce(d)
             }
             System::Mu => {
+                assert_eq!(groups, 1, "multi-group exploration targets the P4CE switch");
                 let mut d = mu::ClusterBuilder::new(spec.n_members)
                     .seed(spec.seed)
                     .log_size(log_size)
@@ -370,29 +342,20 @@ impl Target {
         match self {
             Target::P4ce(d) => &mut d.sim,
             Target::Mu(d) => &mut d.sim,
-            Target::Sharded(d) => &mut d.sim,
         }
     }
 
     fn ready(&self, spec: &ExploreSpec) -> bool {
         match self {
-            Target::P4ce(d) => {
-                let op = (0..spec.n_members).any(|i| d.member(i).is_operational_leader());
+            Target::P4ce(d) => (0..d.groups()).all(|g| {
+                let op = (0..spec.n_members).any(|i| d.member(d.at(g, i)).is_operational_leader());
                 if spec.p4ce_enabled {
-                    op && d.leader().is_accelerated()
-                } else {
-                    op
-                }
-            }
-            Target::Mu(d) => (0..spec.n_members).any(|i| d.member(i).is_operational_leader()),
-            Target::Sharded(d) => (0..d.groups()).all(|g| {
-                let op = (0..spec.n_members).any(|i| d.member(g, i).is_operational_leader());
-                if spec.p4ce_enabled {
-                    op && d.leader(g).is_accelerated()
+                    op && d.member(d.at(g, 0)).is_accelerated()
                 } else {
                     op
                 }
             }),
+            Target::Mu(d) => (0..spec.n_members).any(|i| d.member(i).is_operational_leader()),
         }
     }
 
@@ -411,81 +374,63 @@ impl Target {
     }
 
     fn propose(&mut self, counter: u64) -> bool {
-        let payload = Bytes::from(counter.to_be_bytes().to_vec());
         match self {
-            Target::P4ce(d) => {
-                let Some(l) = (0..d.members.len()).find(|&i| d.member(i).is_operational_leader())
-                else {
-                    return false;
-                };
-                d.with_member(l, move |m, ops| m.propose_value(payload, ops))
-            }
-            Target::Mu(d) => {
-                let Some(l) = (0..d.members.len()).find(|&i| d.member(i).is_operational_leader())
-                else {
-                    return false;
-                };
-                d.with_member(l, move |m, ops| m.propose_value(payload, ops))
-            }
-            // One tagged proposal into every group that currently has an
-            // operational leader; the 2-byte prefix is what the
-            // group-isolation oracle audits.
-            Target::Sharded(d) => {
-                let mut any = false;
-                for g in 0..d.groups() {
-                    let n = d.members[g].len();
-                    let Some(l) = (0..n).find(|&i| d.member(g, i).is_operational_leader()) else {
-                        continue;
-                    };
-                    let mut tagged = (g as u16).to_be_bytes().to_vec();
-                    tagged.extend_from_slice(&counter.to_be_bytes());
-                    let payload = Bytes::from(tagged);
-                    any |= d.with_member(g, l, move |m, ops| m.propose_value(payload, ops));
-                }
-                any
-            }
+            Target::P4ce(d) => propose_into(d, counter),
+            Target::Mu(d) => propose_into(d, counter),
         }
     }
 
-    /// Snapshots every member for the oracles (single-group targets).
-    fn probes(&self, spec: &ExploreSpec) -> Vec<MemberProbe> {
-        let n = spec.n_members;
-        let ips: Vec<Ipv4Addr> = (0..n).map(member_ip).collect();
+    /// Snapshots every member for the oracles, one list per group.
+    fn probes(&self) -> Vec<Vec<MemberProbe>> {
         match self {
-            Target::P4ce(d) => deployment_probes(d, &ips),
-            Target::Mu(d) => deployment_probes(d, &ips),
-            Target::Sharded(_) => unreachable!("sharded targets use sharded_probes"),
+            Target::P4ce(d) => deployment_probes(d),
+            Target::Mu(d) => deployment_probes(d),
         }
     }
 
-    /// Snapshots every member of every group, grouped, for the per-group
-    /// oracle suites.
-    fn sharded_probes(&self, spec: &ExploreSpec) -> Vec<Vec<MemberProbe>> {
-        let Target::Sharded(d) = self else {
-            unreachable!("sharded_probes needs a sharded target")
-        };
-        (0..d.groups())
-            .map(|g| {
-                let ips: Vec<Ipv4Addr> = (0..spec.n_members)
-                    .map(|i| p4ce::ShardedClusterBuilder::member_ip(g, i))
-                    .collect();
-                (0..spec.n_members)
-                    .map(|i| {
-                        probe_from(
-                            d.sim.node_ref::<Host<p4ce::P4ceMember>>(d.members[g][i]),
-                            i,
-                            &ips,
-                        )
-                    })
-                    .collect()
-            })
-            .collect()
+    fn members(&self) -> &[netsim::NodeId] {
+        match self {
+            Target::P4ce(d) => &d.members,
+            Target::Mu(d) => &d.members,
+        }
     }
 }
 
-fn deployment_probes<C: mu::Comm>(d: &mu::Deployment<C>, ips: &[Ipv4Addr]) -> Vec<MemberProbe> {
-    (0..ips.len())
-        .map(|i| probe_from(d.sim.node_ref::<Host<mu::Member<C>>>(d.members[i]), i, ips))
+/// One proposal into every group that currently has an operational
+/// leader. With several groups the payload carries a 2-byte group tag,
+/// which is what the group-isolation oracle audits.
+fn propose_into<C: mu::Comm>(d: &mut mu::Deployment<C>, counter: u64) -> bool {
+    let groups = d.groups();
+    let mut any = false;
+    for g in 0..groups {
+        let Some(l) = (0..d.group_size())
+            .map(|i| d.at(g, i))
+            .find(|&k| d.member(k).is_operational_leader())
+        else {
+            continue;
+        };
+        let mut payload = Vec::new();
+        if groups > 1 {
+            payload.extend_from_slice(&(g as u16).to_be_bytes());
+        }
+        payload.extend_from_slice(&counter.to_be_bytes());
+        let payload = Bytes::from(payload);
+        any |= d.with_member(l, move |m, ops| m.propose_value(payload, ops));
+    }
+    any
+}
+
+fn deployment_probes<C: mu::Comm>(d: &mu::Deployment<C>) -> Vec<Vec<MemberProbe>> {
+    (0..d.groups())
+        .map(|g| {
+            let ips: Vec<Ipv4Addr> = (0..d.group_size()).map(|i| mu::member_ip(g, i)).collect();
+            (0..ips.len())
+                .map(|i| {
+                    let host = d.sim.node_ref::<Host<mu::Member<C>>>(d.members[d.at(g, i)]);
+                    probe_from(host, i, &ips)
+                })
+                .collect()
+        })
         .collect()
 }
 
@@ -565,7 +510,8 @@ pub fn run_schedule_traced(
     let mut proposal = 0u64;
     for step in 0..spec.horizon {
         if spec.partition_leader_at == Some(step) {
-            let node = member_node(&target, 0);
+            // Member 0 of group 0: faults stay confined to one group.
+            let node = target.members()[0];
             partition_member(target.sim_mut(), node);
         }
         if spec.propose_every > 0 && step % spec.propose_every == 0 && target.propose(proposal) {
@@ -575,19 +521,16 @@ pub fn run_schedule_traced(
             break;
         }
         steps = step + 1;
-        let fired = if matches!(target, Target::Sharded(_)) {
-            target
-                .sharded_probes(spec)
-                .iter()
-                .enumerate()
-                .find_map(|(g, probes)| {
-                    check_group(probes, step, g as u16).map(|mut v| {
-                        v.detail = format!("group {g}: {}", v.detail);
-                        v
-                    })
-                })
+        let probes = target.probes();
+        let fired = if let [probes] = &probes[..] {
+            check_all(probes, step)
         } else {
-            check_all(&target.probes(spec), step)
+            probes.iter().enumerate().find_map(|(g, probes)| {
+                check_group(probes, step, g as u16).map(|mut v| {
+                    v.detail = format!("group {g}: {}", v.detail);
+                    v
+                })
+            })
         };
         if let Some(v) = fired {
             violation = Some(v);
@@ -608,16 +551,6 @@ pub fn run_schedule_traced(
         branch_counts,
         decisions,
         steps,
-    }
-}
-
-fn member_node(target: &Target, i: usize) -> netsim::NodeId {
-    match target {
-        Target::P4ce(d) => d.members[i],
-        Target::Mu(d) => d.members[i],
-        // For sharded targets the explored partition hits group 0's
-        // member `i` — faults stay confined to one group by construction.
-        Target::Sharded(d) => d.members[0][i],
     }
 }
 

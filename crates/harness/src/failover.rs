@@ -34,7 +34,7 @@
 //! at tick instants, which cannot reorder the (time, seq) event order.
 
 use netsim::timeseries::SampledRegistry;
-use netsim::{SimDuration, SimTime, TraceEvent, TraceHandle, TraceRecord};
+use netsim::{group_scoped, SimDuration, SimTime, TraceEvent, TraceHandle, TraceRecord};
 use replication::WorkloadSpec;
 
 use crate::chaos::{clear_storm, install_storm, ChaosSpec};
@@ -290,12 +290,12 @@ impl FailoverOutcome {
     }
 }
 
-fn last_decide_before(records: &[TraceRecord], prefix: &str, cutoff: SimTime) -> SimTime {
+fn last_decide_before(records: &[TraceRecord], nodes: &[String], cutoff: SimTime) -> SimTime {
     records
         .iter()
         .filter(|r| {
             r.t <= cutoff
-                && r.node.starts_with(prefix)
+                && nodes.iter().any(|n| **n == *r.node)
                 && matches!(r.event, TraceEvent::Decide { .. })
         })
         .map(|r| r.t)
@@ -303,32 +303,53 @@ fn last_decide_before(records: &[TraceRecord], prefix: &str, cutoff: SimTime) ->
         .unwrap_or(cutoff)
 }
 
-/// Kills the steady-state leader of a single 3-to-N-member P4CE group
-/// and attributes the outage.
+/// Kills the steady-state leader of group 0 in a P4CE deployment of
+/// `groups` groups of 3-to-N members behind one switch, and attributes
+/// the outage. With several groups the co-resident groups are sampled on
+/// the same timeline — the test bed for "does one group's failover
+/// perturb its neighbors?".
+///
+/// The timeline samples `{label}.decided` per member and, per group,
+/// `decided.total` and `view.max` (prefixed `g{g}.` with several
+/// groups); the dip is group 0's.
 ///
 /// # Panics
 ///
-/// Panics if the cluster never accelerates, or the successor never
-/// decides within the observation window — the panic is the test
-/// failure, mirroring the chaos harness contract.
-pub fn run_failover(cfg: &FailoverConfig) -> FailoverOutcome {
+/// Panics if a group never accelerates, or the successor never decides
+/// within the observation window — the panic is the test failure,
+/// mirroring the chaos harness contract.
+pub fn run_failover(cfg: &FailoverConfig, groups: usize) -> FailoverOutcome {
     let handle = TraceHandle::new();
     let mut d = p4ce::ClusterBuilder::new(cfg.members)
+        .groups(groups)
         .workload(cfg.workload())
         .seed(cfg.seed)
         .tracer(handle.tracer("harness"))
         .build();
+    let n = cfg.members;
+    let scoped = |g: usize, name: &str| {
+        if groups == 1 {
+            name.to_owned()
+        } else {
+            group_scoped(g, name)
+        }
+    };
 
     let accel_deadline = d.sim.now() + SimDuration::from_millis(300);
     while d.sim.now() < accel_deadline
-        && !(d.leader().is_operational_leader() && d.leader().is_accelerated())
+        && !(0..groups).all(|g| {
+            let leader = d.member(d.at(g, 0));
+            leader.is_operational_leader() && leader.is_accelerated()
+        })
     {
         d.sim.run_for(SimDuration::from_millis(1));
     }
-    assert!(
-        d.leader().is_accelerated(),
-        "cluster must accelerate before the kill"
-    );
+    for g in 0..groups {
+        assert!(
+            d.member(d.at(g, 0)).is_accelerated(),
+            "group {g} must accelerate before the kill"
+        );
+    }
 
     let t0 = d.sim.now();
     let t_kill = t0 + cfg.kill_after;
@@ -336,7 +357,10 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverOutcome {
     let mut ts = SampledRegistry::new(cfg.cadence);
     ts.align(t0);
 
-    let members = d.members.clone();
+    // The victim group is group 0: its leader dies and a storm hits its
+    // links.
+    let victims = d.members[..n].to_vec();
+    let victim_labels: Vec<String> = (0..n).map(|i| d.label(i)).collect();
     let mut killed = false;
     let mut records_at_kill = Vec::new();
     let storm_end = cfg.chaos.map(|spec| t_kill + spec.storm);
@@ -359,122 +383,15 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverOutcome {
             records_at_kill = handle.records();
             d.kill_member(0);
             if let Some(spec) = &cfg.chaos {
-                install_storm(&mut d.sim, &members, spec, t_kill);
-                storm_live = true;
-                ts.annotate(t_kill, "harness", "fault-storm start");
-            }
-            ts.annotate(t_kill, "harness", "leader-kill m0");
-            killed = true;
-        }
-        if let Some(se) = storm_end {
-            if storm_live && t >= se {
-                clear_storm(&mut d.sim, &members);
-                storm_live = false;
-                ts.annotate(se, "harness", "fault-storm end");
-            }
-        }
-        if cfg.sample && t == ts.next_tick() {
-            let mut total = 0u64;
-            let mut vmax = 0u64;
-            for i in 0..cfg.members {
-                let m = d.member(i);
-                let dec = m.stats.decided;
-                total = total.max(dec);
-                vmax = vmax.max(m.view());
-                ts.record_counter(&format!("m{i}.decided"), t, dec);
-            }
-            ts.record_counter("decided.total", t, total);
-            ts.record_counter("view.max", t, vmax);
-            ts.advance_tick();
-        }
-        if t >= t_end {
-            break;
-        }
-    }
-
-    let last_decide = last_decide_before(&records_at_kill, "", t_kill);
-    let budget = FailoverBudget::from_events(t_kill, last_decide, &d.member(1).stats);
-    let dip = dip_from(&ts, "decided.total", t_kill);
-    let records = handle.records();
-    ts.extend_annotations_from(&records);
-    ts.sort_annotations();
-    let decided = (0..cfg.members)
-        .map(|i| d.member(i).stats.decided)
-        .max()
-        .unwrap_or(0);
-    FailoverOutcome {
-        budget,
-        dip,
-        timeline: ts,
-        records,
-        group_decided: vec![decided],
-        events_processed: d.sim.events_processed(),
-    }
-}
-
-/// [`run_failover`] against a sharded deployment: `groups` consensus
-/// groups behind one switch, group 0's leader killed, the co-resident
-/// groups sampled on the same timeline — the test bed for "does one
-/// group's failover perturb its neighbors?".
-///
-/// # Panics
-///
-/// Same contract as [`run_failover`], for every group.
-pub fn run_failover_sharded(cfg: &FailoverConfig, groups: usize) -> FailoverOutcome {
-    let handle = TraceHandle::new();
-    let mut d = p4ce::ShardedClusterBuilder::new(groups, cfg.members)
-        .workload(cfg.workload())
-        .seed(cfg.seed)
-        .tracer(handle.tracer("harness"))
-        .build();
-
-    let accel_deadline = d.sim.now() + SimDuration::from_millis(300);
-    while d.sim.now() < accel_deadline
-        && !(0..groups).all(|g| d.leader(g).is_operational_leader() && d.leader(g).is_accelerated())
-    {
-        d.sim.run_for(SimDuration::from_millis(1));
-    }
-    for g in 0..groups {
-        assert!(
-            d.leader(g).is_accelerated(),
-            "group {g} must accelerate before the kill"
-        );
-    }
-
-    let t0 = d.sim.now();
-    let t_kill = t0 + cfg.kill_after;
-    let t_end = t_kill + cfg.observe_for;
-    let mut ts = SampledRegistry::new(cfg.cadence);
-    ts.align(t0);
-
-    let victims = d.members[0].clone();
-    let mut killed = false;
-    let mut records_at_kill = Vec::new();
-    let storm_end = cfg.chaos.map(|spec| t_kill + spec.storm);
-    let mut storm_live = false;
-    loop {
-        let mut t = t_end;
-        if cfg.sample {
-            t = t.min(ts.next_tick());
-        }
-        if !killed {
-            t = t.min(t_kill);
-        }
-        if let Some(se) = storm_end {
-            if storm_live {
-                t = t.min(se);
-            }
-        }
-        d.sim.run_until(t);
-        if !killed && t >= t_kill {
-            records_at_kill = handle.records();
-            d.kill_member(0, 0);
-            if let Some(spec) = &cfg.chaos {
                 install_storm(&mut d.sim, &victims, spec, t_kill);
                 storm_live = true;
                 ts.annotate(t_kill, "harness", "fault-storm start");
             }
-            ts.annotate(t_kill, "harness", "leader-kill g0m0");
+            ts.annotate(
+                t_kill,
+                "harness",
+                format!("leader-kill {}", victim_labels[0]),
+            );
             killed = true;
         }
         if let Some(se) = storm_end {
@@ -485,16 +402,20 @@ pub fn run_failover_sharded(cfg: &FailoverConfig, groups: usize) -> FailoverOutc
             }
         }
         if cfg.sample && t == ts.next_tick() {
-            let mut grand = 0u64;
             for g in 0..groups {
-                let dec = (0..cfg.members)
-                    .map(|i| d.member(g, i).stats.decided)
-                    .max()
-                    .unwrap_or(0);
-                ts.record_counter(&format!("g{g}.decided.total"), t, dec);
-                grand += dec;
+                let mut total = 0u64;
+                let mut vmax = 0u64;
+                for i in 0..n {
+                    let k = d.at(g, i);
+                    let m = d.member(k);
+                    let dec = m.stats.decided;
+                    total = total.max(dec);
+                    vmax = vmax.max(m.view());
+                    ts.record_counter(&format!("{}.decided", d.label(k)), t, dec);
+                }
+                ts.record_counter(&scoped(g, "decided.total"), t, total);
+                ts.record_counter(&scoped(g, "view.max"), t, vmax);
             }
-            ts.record_counter("decided.total", t, grand);
             ts.advance_tick();
         }
         if t >= t_end {
@@ -502,16 +423,16 @@ pub fn run_failover_sharded(cfg: &FailoverConfig, groups: usize) -> FailoverOutc
         }
     }
 
-    let last_decide = last_decide_before(&records_at_kill, "g0", t_kill);
-    let budget = FailoverBudget::from_events(t_kill, last_decide, &d.member(0, 1).stats);
-    let dip = dip_from(&ts, "g0.decided.total", t_kill);
+    let last_decide = last_decide_before(&records_at_kill, &victim_labels, t_kill);
+    let budget = FailoverBudget::from_events(t_kill, last_decide, &d.member(1).stats);
+    let dip = dip_from(&ts, &scoped(0, "decided.total"), t_kill);
     let records = handle.records();
     ts.extend_annotations_from(&records);
     ts.sort_annotations();
     let group_decided = (0..groups)
         .map(|g| {
-            (0..cfg.members)
-                .map(|i| d.member(g, i).stats.decided)
+            (0..n)
+                .map(|i| d.member(d.at(g, i)).stats.decided)
                 .max()
                 .unwrap_or(0)
         })

@@ -32,8 +32,8 @@ pub mod tracing;
 pub use chaos::{ChaosRecorder, ChaosReport, ChaosSpec};
 pub use explore::{Budget, ExploreReport, ExploreSpec, ExploreStatus};
 pub use failover::{
-    run_failover, run_failover_sharded, FailoverBudget, FailoverConfig, FailoverOutcome,
-    FailoverPhase, ThroughputDip, FAILOVER_PHASES,
+    run_failover, FailoverBudget, FailoverConfig, FailoverOutcome, FailoverPhase, ThroughputDip,
+    FAILOVER_PHASES,
 };
 pub use report::{print_markdown, to_csv, to_markdown, truncation_warning, write_csv, TableRow};
 pub use repro::Repro;

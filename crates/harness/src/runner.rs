@@ -256,6 +256,27 @@ pub fn run_points(cfgs: &[PointConfig]) -> Vec<PointOutcome> {
 /// Panics if any worker panics (the underlying point panicked), or if
 /// `threads` is zero.
 pub fn run_points_parallel(cfgs: &[PointConfig], threads: usize) -> Vec<PointOutcome> {
+    in_parallel(cfgs, threads, run_point, |o, threads_used| PointOutcome {
+        threads_used,
+        ..o
+    })
+}
+
+/// The work-stealing loop behind every parallel sweep: runs `run` on
+/// each config across up to `threads` OS threads and returns the
+/// outcomes in input order, each stamped by `stamp` with the worker
+/// count. A one-core box or a one-worker sweep runs sequentially on the
+/// calling thread and leaves the outcomes unstamped.
+///
+/// # Panics
+///
+/// Panics if any worker panics, or if `threads` is zero.
+pub(crate) fn in_parallel<T: Sync, O: Send>(
+    cfgs: &[T],
+    threads: usize,
+    run: impl Fn(&T) -> O + Sync,
+    stamp: impl Fn(O, usize) -> O,
+) -> Vec<O> {
     assert!(threads > 0, "need at least one worker thread");
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
@@ -267,11 +288,11 @@ pub fn run_points_parallel(cfgs: &[PointConfig], threads: usize) -> Vec<PointOut
     let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let workers = threads.min(cfgs.len().max(1));
     if hw == 1 || workers == 1 {
-        return run_points(cfgs);
+        return cfgs.iter().map(run).collect();
     }
 
     let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, PointOutcome)>> = Mutex::new(Vec::with_capacity(cfgs.len()));
+    let results: Mutex<Vec<(usize, O)>> = Mutex::new(Vec::with_capacity(cfgs.len()));
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
@@ -279,7 +300,7 @@ pub fn run_points_parallel(cfgs: &[PointConfig], threads: usize) -> Vec<PointOut
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(cfg) = cfgs.get(i) else { break };
-                    local.push((i, run_point(cfg)));
+                    local.push((i, run(cfg)));
                 }
                 results.lock().expect("no poisoned workers").extend(local);
             });
@@ -290,9 +311,6 @@ pub fn run_points_parallel(cfgs: &[PointConfig], threads: usize) -> Vec<PointOut
     assert_eq!(indexed.len(), cfgs.len(), "every point ran exactly once");
     indexed
         .into_iter()
-        .map(|(_, o)| PointOutcome {
-            threads_used: workers,
-            ..o
-        })
+        .map(|(_, o)| stamp(o, workers))
         .collect()
 }

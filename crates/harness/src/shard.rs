@@ -15,7 +15,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use netsim::{group_scoped, MetricsRegistry, SimDuration, SimTime, Tracer};
-use p4ce::{LogEntry, P4ceMember, ShardedClusterBuilder, ShardedDeployment, StateMachine};
+use p4ce::{ClusterBuilder, Deployment, LogEntry, P4ceMember, StateMachine};
 use rdma::Host;
 
 // ---------------------------------------------------------------------
@@ -236,8 +236,8 @@ impl StateMachine for ShardKvStore {
 }
 
 /// Reads member `(g, i)`'s store back out of a deployment.
-pub fn store_of(d: &ShardedDeployment, g: usize, i: usize) -> &ShardKvStore {
-    d.member(g, i)
+pub fn store_of(d: &Deployment, g: usize, i: usize) -> &ShardKvStore {
+    d.member(d.at(g, i))
         .state_machine()
         .and_then(|sm| (sm as &dyn std::any::Any).downcast_ref::<ShardKvStore>())
         .expect("ShardKvStore installed on every member")
@@ -358,8 +358,9 @@ impl PartialEq for ShardedOutcome {
 /// Builds the deployment a sharded point runs on (shared with the
 /// isolation test, which needs the deployment before the client
 /// exists).
-pub fn build_sharded(cfg: &ShardedPointConfig) -> ShardedDeployment {
-    let mut b = ShardedClusterBuilder::new(cfg.groups, cfg.members_per_group)
+pub fn build_sharded(cfg: &ShardedPointConfig) -> Deployment {
+    let mut b = ClusterBuilder::new(cfg.members_per_group)
+        .groups(cfg.groups)
         .seed(cfg.seed)
         .tracer(cfg.tracer.clone());
     if let Some(k) = cfg.parser_slices {
@@ -371,7 +372,7 @@ pub fn build_sharded(cfg: &ShardedPointConfig) -> ShardedDeployment {
     let mut d = b.build();
     for g in 0..cfg.groups {
         for i in 0..cfg.members_per_group {
-            d.member_mut(g, i)
+            d.member_mut(d.at(g, i))
                 .set_state_machine(Box::new(ShardKvStore::new(g as u16)));
         }
     }
@@ -383,10 +384,10 @@ pub fn build_sharded(cfg: &ShardedPointConfig) -> ShardedDeployment {
 /// # Panics
 ///
 /// Panics if any leader is still down after 500 ms of simulated time.
-pub fn await_leaders(d: &mut ShardedDeployment) {
+pub fn await_leaders(d: &mut Deployment) {
     let deadline = SimTime::ZERO + SimDuration::from_millis(500);
     loop {
-        let ready = (0..d.groups()).all(|g| d.leader(g).is_operational_leader());
+        let ready = (0..d.groups()).all(|g| d.member(d.at(g, 0)).is_operational_leader());
         if ready {
             return;
         }
@@ -402,7 +403,7 @@ pub fn await_leaders(d: &mut ShardedDeployment) {
 /// Zipf-sampled keys are routed through `ring` and proposed to their
 /// group's leader. Returns how many proposals were accepted.
 fn drive(
-    d: &mut ShardedDeployment,
+    d: &mut Deployment,
     ring: &HashRing,
     zipf: &mut ZipfSampler,
     counter: &mut u64,
@@ -421,7 +422,7 @@ fn drive(
                 counter: *counter,
             }
             .encode(cfg.value_size);
-            let ok = d.with_member(g, 0, |m, ops| {
+            let ok = d.with_member(d.at(g, 0), |m, ops| {
                 m.is_operational_leader() && m.propose_value(payload, ops)
             });
             if ok {
@@ -460,7 +461,7 @@ fn run_sharded(cfg: &ShardedPointConfig, metrics: Option<&mut MetricsRegistry>) 
     drive(&mut d, &ring, &mut zipf, &mut counter, cfg, warm_end);
     let t0 = d.sim.now();
     for g in 0..cfg.groups {
-        d.member_mut(g, 0).reset_measurements(t0);
+        d.member_mut(d.at(g, 0)).reset_measurements(t0);
     }
 
     let window_end = d.sim.now() + cfg.window;
@@ -475,18 +476,16 @@ fn run_sharded(cfg: &ShardedPointConfig, metrics: Option<&mut MetricsRegistry>) 
     if let Some(reg) = metrics {
         for g in 0..cfg.groups {
             for i in 0..cfg.members_per_group {
-                d.member(g, i)
+                let k = d.at(g, i);
+                d.member(k)
                     .stats
                     .register_into(reg, &group_scoped(g, &format!("member.{i}")));
                 d.sim
-                    .node_ref::<Host<P4ceMember>>(d.members[g][i])
+                    .node_ref::<Host<P4ceMember>>(d.members[k])
                     .stats()
                     .register_into(reg, &group_scoped(g, &format!("host.{i}")));
             }
-            if let Some(gid) = d
-                .switch_program()
-                .gid_of_leader(ShardedClusterBuilder::member_ip(g, 0))
-            {
+            if let Some(gid) = d.switch_program().gid_of_leader(mu::member_ip(g, 0)) {
                 reg.set_counter(&group_scoped(g, "switch.gid"), u64::from(gid));
             }
         }
@@ -500,8 +499,8 @@ fn run_sharded(cfg: &ShardedPointConfig, metrics: Option<&mut MetricsRegistry>) 
             .map(|i| store_of(&d, g, i).foreign)
             .sum();
         let log_hash = store_of(&d, g, 1).log_hash;
-        let accelerated = d.leader(g).is_accelerated();
-        let leader = d.member_mut(g, 0);
+        let accelerated = d.member(d.at(g, 0)).is_accelerated();
+        let leader = d.member_mut(d.at(g, 0));
         let stats = &mut leader.stats;
         per_group.push(ShardGroupOutcome {
             decided: stats.throughput.ops(),
@@ -535,7 +534,8 @@ pub fn run_sharded_points(cfgs: &[ShardedPointConfig]) -> Vec<ShardedOutcome> {
 /// Runs the sharded points across `threads` OS threads; outcomes are
 /// identical to [`run_sharded_points`] (every field except
 /// `threads_used`) because each point is a self-contained virtual-time
-/// simulation. Mirrors [`crate::runner::run_points_parallel`].
+/// simulation. Same work-stealing loop as
+/// [`crate::runner::run_points_parallel`].
 ///
 /// # Panics
 ///
@@ -544,41 +544,9 @@ pub fn run_sharded_points_parallel(
     cfgs: &[ShardedPointConfig],
     threads: usize,
 ) -> Vec<ShardedOutcome> {
-    assert!(threads > 0, "need at least one worker thread");
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let workers = threads.min(cfgs.len().max(1));
-    if hw == 1 || workers == 1 {
-        return run_sharded_points(cfgs);
-    }
-
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, ShardedOutcome)>> = Mutex::new(Vec::with_capacity(cfgs.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(cfg) = cfgs.get(i) else { break };
-                    local.push((i, run_sharded_point(cfg)));
-                }
-                results.lock().expect("no poisoned workers").extend(local);
-            });
-        }
-    });
-    let mut indexed = results.into_inner().expect("no poisoned workers");
-    indexed.sort_by_key(|&(i, _)| i);
-    assert_eq!(indexed.len(), cfgs.len(), "every point ran exactly once");
-    indexed
-        .into_iter()
-        .map(|(_, o)| ShardedOutcome {
-            threads_used: workers,
-            ..o
-        })
-        .collect()
+    crate::runner::in_parallel(cfgs, threads, run_sharded_point, |o, threads_used| {
+        ShardedOutcome { threads_used, ..o }
+    })
 }
 
 #[cfg(test)]

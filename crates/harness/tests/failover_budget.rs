@@ -5,7 +5,7 @@
 use netsim::timeseries::chrome_trace_json_with;
 use netsim::trace::json;
 use netsim::SimDuration;
-use p4ce_harness::{run_failover, run_failover_sharded, ChaosSpec, FailoverConfig};
+use p4ce_harness::{run_failover, ChaosSpec, FailoverConfig};
 
 fn quick() -> FailoverConfig {
     FailoverConfig {
@@ -16,7 +16,7 @@ fn quick() -> FailoverConfig {
 
 #[test]
 fn budget_phases_sum_exactly_to_unavailability() {
-    let out = run_failover(&quick());
+    let out = run_failover(&quick(), 1);
     let b = &out.budget;
     assert!(b.reconciles(), "phases must telescope: {b:?}");
     assert!(
@@ -50,8 +50,8 @@ fn budget_phases_sum_exactly_to_unavailability() {
 #[test]
 fn same_seed_is_bit_identical_and_dip_is_observed() {
     let cfg = quick();
-    let a = run_failover(&cfg);
-    let b = run_failover(&cfg);
+    let a = run_failover(&cfg, 1);
+    let b = run_failover(&cfg, 1);
     assert_eq!(
         a.fingerprint(),
         b.fingerprint(),
@@ -77,11 +77,14 @@ fn same_seed_is_bit_identical_and_dip_is_observed() {
 
 #[test]
 fn sampling_never_perturbs_the_simulation() {
-    let sampled = run_failover(&quick());
-    let unsampled = run_failover(&FailoverConfig {
-        sample: false,
-        ..quick()
-    });
+    let sampled = run_failover(&quick(), 1);
+    let unsampled = run_failover(
+        &FailoverConfig {
+            sample: false,
+            ..quick()
+        },
+        1,
+    );
     assert_eq!(
         sampled.group_decided, unsampled.group_decided,
         "sampling observes; it must not change what was decided"
@@ -97,7 +100,7 @@ fn sampling_never_perturbs_the_simulation() {
 
 #[test]
 fn perfetto_export_with_counter_tracks_parses() {
-    let out = run_failover(&quick());
+    let out = run_failover(&quick(), 1);
     let trace = chrome_trace_json_with(&out.records, &out.timeline);
     let parsed = json::parse(&trace).expect("valid trace json");
     let events = parsed
@@ -120,7 +123,7 @@ fn sharded_kill_leaves_co_resident_group_deciding() {
         observe_for: SimDuration::from_millis(80),
         ..FailoverConfig::default()
     };
-    let out = run_failover_sharded(&cfg, 2);
+    let out = run_failover(&cfg, 2);
     assert!(out.budget.reconciles(), "{:?}", out.budget);
     assert!(out.group_decided[1] > 0, "group 1 decided throughout");
     // Group 1's decided series keeps climbing across the kill instant.
@@ -144,9 +147,9 @@ fn budget_survives_a_fault_storm_around_the_kill() {
         chaos: Some(ChaosSpec::seeded(7, 3)),
         ..FailoverConfig::default()
     };
-    let a = run_failover(&cfg);
+    let a = run_failover(&cfg, 1);
     assert!(a.budget.reconciles(), "{:?}", a.budget);
-    let b = run_failover(&cfg);
+    let b = run_failover(&cfg, 1);
     assert_eq!(a.fingerprint(), b.fingerprint(), "storms are seeded too");
     let ann = a.timeline.annotations();
     assert!(ann.iter().any(|x| x.label == "fault-storm start"));

@@ -35,7 +35,7 @@ fn run_service(storm: bool) -> GroupFingerprint {
         let storm_until = d.sim.now() + SimDuration::from_millis(5);
         let primary = PortId::from_index(0);
         for i in 0..3 {
-            let m = d.members[0][i];
+            let m = d.members[d.at(0, i)];
             let mut plan = FaultPlan::new().loss(0.05);
             if i == 0 {
                 plan = plan.partition(storm_from, storm_until);
@@ -58,7 +58,7 @@ fn run_service(storm: bool) -> GroupFingerprint {
     let end = d.sim.now() + SimDuration::from_millis(14);
     while d.sim.now() < end {
         if storm && !killed && d.sim.now() >= kill_at {
-            d.kill_member(0, 0);
+            d.kill_member(d.at(0, 0));
             killed = true;
         }
         let key = zipf.next_key();
@@ -71,7 +71,7 @@ fn run_service(storm: bool) -> GroupFingerprint {
                 counter,
             }
             .encode(64);
-            d.with_member(g, 0, |m, ops| m.propose_value(payload, ops));
+            d.with_member(d.at(g, 0), |m, ops| m.propose_value(payload, ops));
         }
         d.sim.run_for(SimDuration::from_micros(4));
     }
@@ -81,24 +81,24 @@ fn run_service(storm: bool) -> GroupFingerprint {
     // compared too.
     let mut reg = MetricsRegistry::new();
     for i in 0..3 {
-        d.member(1, i)
+        d.member(d.at(1, i))
             .stats
             .register_into(&mut reg, &netsim::group_scoped(1, &format!("member.{i}")));
         d.sim
-            .node_ref::<rdma::Host<p4ce::P4ceMember>>(d.members[1][i])
+            .node_ref::<rdma::Host<p4ce::P4ceMember>>(d.members[d.at(1, i)])
             .stats()
             .register_into(&mut reg, &netsim::group_scoped(1, &format!("host.{i}")));
     }
     let gid = d
         .switch_program()
-        .gid_of_leader(p4ce::ShardedClusterBuilder::member_ip(1, 0))
+        .gid_of_leader(mu::member_ip(1, 0))
         .expect("group 1 accelerated");
     if let Some(gs) = d.switch_program().group_stats(gid) {
         gs.register_into(&mut reg, &format!("switch.g{gid}"));
     }
 
     GroupFingerprint {
-        decided: d.leader(1).stats.decided,
+        decided: d.member(d.at(1, 0)).stats.decided,
         log_hash_replica1: store_of(&d, 1, 1).log_hash,
         log_hash_replica2: store_of(&d, 1, 2).log_hash,
         applied: store_of(&d, 1, 1).applied,
@@ -129,12 +129,12 @@ fn the_storm_actually_hurt_group_zero() {
     await_leaders(&mut d);
     let primary = PortId::from_index(0);
     for i in 0..3 {
-        let m = d.members[0][i];
+        let m = d.members[d.at(0, i)];
         d.sim.set_fault_plan(m, primary, FaultPlan::new().loss(0.5));
         let (sw, swp) = d.sim.peer_of(m, primary);
         d.sim.set_fault_plan(sw, swp, FaultPlan::new().loss(0.5));
     }
-    let before = d.sim.fault_stats(d.members[0][0], primary).dropped;
+    let before = d.sim.fault_stats(d.members[0], primary).dropped;
     for c in 0..50u64 {
         let payload = ShardKvCommand {
             key: c,
@@ -142,11 +142,11 @@ fn the_storm_actually_hurt_group_zero() {
             counter: c + 1,
         }
         .encode(64);
-        d.with_member(0, 0, |m, ops| m.propose_value(payload, ops));
+        d.with_member(0, |m, ops| m.propose_value(payload, ops));
         d.sim.run_for(SimDuration::from_micros(10));
     }
     d.sim.run_until(SimTime::from_millis(40));
-    let dropped = d.sim.fault_stats(d.members[0][0], primary).dropped - before;
+    let dropped = d.sim.fault_stats(d.members[0], primary).dropped - before;
     assert!(
         dropped > 0,
         "the storm dropped nothing — test proves nothing"

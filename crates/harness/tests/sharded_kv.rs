@@ -55,7 +55,7 @@ fn group_logs_are_disjoint_and_internally_agreed() {
             counter,
         }
         .encode(cfg.value_size);
-        d.with_member(g, 0, |m, ops| m.propose_value(payload, ops));
+        d.with_member(d.at(g, 0), |m, ops| m.propose_value(payload, ops));
         d.sim.run_for(SimDuration::from_micros(4));
     }
     d.sim.run_for(SimDuration::from_millis(2));
@@ -136,11 +136,11 @@ fn retiring_one_group_leaves_the_other_accelerated() {
     assert_eq!(d.switch_program().group_ids().len(), 2);
     let retired_gid = d
         .switch_program()
-        .gid_of_leader(p4ce::ShardedClusterBuilder::member_ip(0, 0))
+        .gid_of_leader(mu::member_ip(0, 0))
         .expect("group 0 registered");
 
     // Group 0's leader retires its switch group and falls back.
-    d.with_member(0, 0, |m, ops| m.retire_comm(ops));
+    d.with_member(0, |m, ops| m.retire_comm(ops));
     d.sim.run_for(SimDuration::from_millis(1));
     assert!(!d.switch_program().group_ids().contains(&retired_gid));
     assert_eq!(
@@ -148,9 +148,9 @@ fn retiring_one_group_leaves_the_other_accelerated() {
         1,
         "only group 0 retired"
     );
-    assert!(!d.leader(0).is_accelerated());
+    assert!(!d.leader().is_accelerated());
     assert!(
-        d.leader(1).is_accelerated(),
+        d.member(d.at(1, 0)).is_accelerated(),
         "group 1 disturbed by retirement"
     );
 
@@ -164,7 +164,7 @@ fn retiring_one_group_leaves_the_other_accelerated() {
                 counter: c + 1,
             }
             .encode(cfg.value_size);
-            d.with_member(g, 0, |m, ops| m.propose_value(payload, ops));
+            d.with_member(d.at(g, 0), |m, ops| m.propose_value(payload, ops));
             d.sim.run_for(SimDuration::from_micros(20));
         }
     }
@@ -179,13 +179,13 @@ fn retiring_one_group_leaves_the_other_accelerated() {
     // The retiring leader's periodic probe eventually re-accelerates it
     // under a fresh switch group id.
     d.sim.run_for(SimDuration::from_millis(120));
-    assert!(d.leader(0).is_accelerated(), "group 0 never re-accelerated");
+    assert!(d.leader().is_accelerated(), "group 0 never re-accelerated");
     let new_gid = d
         .switch_program()
-        .gid_of_leader(p4ce::ShardedClusterBuilder::member_ip(0, 0))
+        .gid_of_leader(mu::member_ip(0, 0))
         .expect("group 0 re-registered");
     assert_ne!(new_gid, retired_gid, "switch recycled a retired gid");
-    assert_eq!(d.leader(0).group_id(), Some(new_gid));
+    assert_eq!(d.leader().group_id(), Some(new_gid));
 }
 
 #[test]
@@ -197,7 +197,7 @@ fn single_group_service_matches_its_own_rerun_bit_for_bit() {
     // Downcast sanity: the store type reads back.
     let mut d = build_sharded(&cfg);
     p4ce_harness::shard::await_leaders(&mut d);
-    let sm = d.member(0, 1).state_machine().expect("installed");
+    let sm = d.member(1).state_machine().expect("installed");
     assert!((sm as &dyn std::any::Any)
         .downcast_ref::<ShardKvStore>()
         .is_some());

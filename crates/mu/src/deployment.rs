@@ -1,83 +1,107 @@
 //! A built cluster: the simulation plus where its members and fabric
-//! switch live, for either communication strategy.
+//! switch live, for either communication strategy and any number of
+//! groups behind the one switch.
 
 use netsim::{NodeId, Simulation};
 use rdma::Host;
-use replication::ClusterConfig;
 use std::marker::PhantomData;
 use tofino::Switch;
 
 use crate::direct::Direct;
 use crate::member::{Accelerator, Comm, Member};
 
+/// The trace label of member `i` of group `g` in a deployment of
+/// `groups` groups: `m{i}` for one group, `g{g}m{i}` for more.
+pub(crate) fn member_label(groups: usize, g: usize, i: usize) -> String {
+    if groups == 1 {
+        format!("m{i}")
+    } else {
+        format!("g{g}m{i}")
+    }
+}
+
 /// A built deployment of members running strategy `C` (Mu's [`Direct`]
 /// unless named otherwise).
+///
+/// Every per-member accessor takes one index into [`Deployment::members`]:
+/// with one group it is the member id, and member `i` of group `g` is at
+/// [`Deployment::at`]`(g, i)`.
 pub struct Deployment<C: Comm = Direct> {
     /// The simulation to drive.
     pub sim: Simulation,
-    /// The cluster description.
-    pub cluster: ClusterConfig,
-    /// Member node ids, in member-id order.
+    /// Member node ids, group-major and in member-id order within a
+    /// group.
     pub members: Vec<NodeId>,
     /// The fabric switch node id.
     pub switch: NodeId,
-    /// The backup fabric node id, if built.
-    pub backup: Option<NodeId>,
-    comm: PhantomData<fn() -> C>,
+    pub(crate) group_size: usize,
+    pub(crate) comm: PhantomData<fn() -> C>,
 }
 
 impl<C: Comm> Deployment<C> {
-    /// Wraps a simulation whose nodes `members` host [`Member<C>`]s.
-    pub fn new(
-        sim: Simulation,
-        cluster: ClusterConfig,
-        members: Vec<NodeId>,
-        switch: NodeId,
-        backup: Option<NodeId>,
-    ) -> Self {
-        Deployment {
-            sim,
-            cluster,
-            members,
-            switch,
-            backup,
-            comm: PhantomData,
-        }
+    /// Number of groups behind the switch.
+    pub fn groups(&self) -> usize {
+        self.members.len() / self.group_size
     }
 
-    /// The member application of member `i`.
-    pub fn member(&self, i: usize) -> &Member<C> {
-        self.sim.node_ref::<Host<Member<C>>>(self.members[i]).app()
+    /// Members per group.
+    pub fn group_size(&self) -> usize {
+        self.group_size
     }
 
-    /// Mutable access to member `i` (e.g. to reset measurement windows).
-    pub fn member_mut(&mut self, i: usize) -> &mut Member<C> {
+    /// The index of member `i` of group `g`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a member id of the groups' size.
+    pub fn at(&self, g: usize, i: usize) -> usize {
+        assert!(
+            i < self.group_size,
+            "member {i} of a {}-member group",
+            self.group_size
+        );
+        g * self.group_size + i
+    }
+
+    /// The trace label of member `k` (`m{i}`, or `g{g}m{i}` with several
+    /// groups).
+    pub fn label(&self, k: usize) -> String {
+        member_label(self.groups(), k / self.group_size, k % self.group_size)
+    }
+
+    /// The member application of member `k`.
+    pub fn member(&self, k: usize) -> &Member<C> {
+        self.sim.node_ref::<Host<Member<C>>>(self.members[k]).app()
+    }
+
+    /// Mutable access to member `k` (e.g. to reset measurement windows).
+    pub fn member_mut(&mut self, k: usize) -> &mut Member<C> {
         self.sim
-            .node_mut::<Host<Member<C>>>(self.members[i])
+            .node_mut::<Host<Member<C>>>(self.members[k])
             .app_mut()
     }
 
-    /// Runs a closure against member `i` with live host operations — the
+    /// Runs a closure against member `k` with live host operations — the
     /// way external code injects actions (e.g. proposing client values)
     /// into a running member.
     pub fn with_member<R>(
         &mut self,
-        i: usize,
+        k: usize,
         f: impl FnOnce(&mut Member<C>, &mut rdma::HostOps<'_, '_>) -> R,
     ) -> R {
-        let node = self.members[i];
+        let node = self.members[k];
         self.sim
             .with_node::<Host<Member<C>>, _>(node, |host, ctx| host.with_ops(ctx, f))
     }
 
-    /// The steady-state leader (member 0).
+    /// The steady-state leader (member 0 of group 0).
     pub fn leader(&self) -> &Member<C> {
         self.member(0)
     }
 
-    /// Crashes member `i` (process + NIC power-off).
-    pub fn kill_member(&mut self, i: usize) {
-        let node = self.members[i];
+    /// Crashes member `k` (process + NIC power-off).
+    pub fn kill_member(&mut self, k: usize) {
+        let node = self.members[k];
         self.sim.set_node_down(node, true);
     }
 
@@ -100,8 +124,8 @@ impl<C: Accelerator> Deployment<C> {
 impl<C: Comm> std::fmt::Debug for Deployment<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Deployment")
-            .field("members", &self.members.len())
-            .field("backup", &self.backup.is_some())
+            .field("groups", &self.groups())
+            .field("group_size", &self.group_size)
             .finish()
     }
 }

@@ -15,6 +15,11 @@
 //! [`Comm`] strategy: [`Direct`] is Mu's communication, and the `p4ce`
 //! crate plugs its switch group (with fallback to the same direct links)
 //! into the same member. [`MuMember`] is `Member<Direct>`.
+//!
+//! The deployment is written once too: [`ClusterBuilder::wire`] puts the
+//! members, the switch, the links and routes and the optional backup
+//! fabric together for both systems, and one [`Deployment`] holds the
+//! result — with one group or, for P4CE, several behind one switch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,7 +30,7 @@ mod direct;
 mod member;
 mod stats;
 
-pub use builder::ClusterBuilder;
+pub use builder::{member_ip, ClusterBuilder, MAX_GROUP_MEMBERS, SWITCH_IP};
 pub use deployment::Deployment;
 pub use direct::{Direct, MuMember};
 pub use member::{Accelerator, Comm, Member, MuMemberConfig, WR_STRATEGY};

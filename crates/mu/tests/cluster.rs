@@ -216,3 +216,18 @@ fn open_loop_keeps_issuing_across_a_comm_rebuild() {
     );
     assert!(leader.stats.decided + 1_000 > leader.stats.issued);
 }
+
+#[test]
+#[should_panic(expected = "100 members per group")]
+fn a_group_reaching_the_switch_address_is_rejected_at_build() {
+    // Member 99 would be 10.0.0.100, the switch.
+    let _ = mu::ClusterBuilder::new(100).build();
+}
+
+#[test]
+fn the_largest_addressable_group_builds() {
+    assert_eq!(mu::MAX_GROUP_MEMBERS, 99);
+    let d = mu::ClusterBuilder::new(99).build();
+    assert_eq!(d.members.len(), 99);
+    assert_eq!(mu::member_ip(0, 98), Ipv4Addr::new(10, 0, 0, 99));
+}

@@ -23,8 +23,13 @@ pub struct GroupSpec {
 }
 
 impl GroupSpec {
-    /// Serializes the spec (fits in CM request private data for up to 22
-    /// replicas).
+    /// The most replicas a spec can name and still fit in CM
+    /// ConnectRequest private data: a 2-byte header (`f`, count) plus
+    /// 4 bytes per replica address.
+    pub const MAX_REPLICAS: usize = (rdma::cm::MAX_REQ_PRIVATE_DATA - 2) / 4;
+
+    /// Serializes the spec (fits in CM request private data for up to
+    /// [`GroupSpec::MAX_REPLICAS`] replicas).
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(2 + 4 * self.replicas.len());
         buf.put_u8(self.f);
@@ -223,10 +228,13 @@ mod tests {
 
     #[test]
     fn fits_in_cm_private_data() {
-        let spec = GroupSpec {
+        let spec = |n: usize| GroupSpec {
             f: 11,
-            replicas: (0..22).map(|i| Ipv4Addr::new(10, 0, 1, i)).collect(),
+            replicas: (0..n).map(|i| Ipv4Addr::new(10, 0, 1, i as u8)).collect(),
         };
-        assert!(spec.encode().len() <= rdma::cm::MAX_REQ_PRIVATE_DATA);
+        assert_eq!(GroupSpec::MAX_REPLICAS, 22);
+        let max = rdma::cm::MAX_REQ_PRIVATE_DATA;
+        assert!(spec(GroupSpec::MAX_REPLICAS).encode().len() <= max);
+        assert!(spec(GroupSpec::MAX_REPLICAS + 1).encode().len() > max);
     }
 }

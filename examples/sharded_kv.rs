@@ -12,7 +12,7 @@
 //! ```
 
 use netsim::{SimDuration, SimTime};
-use p4ce::ShardedClusterBuilder;
+use p4ce::ClusterBuilder;
 use p4ce_harness::shard::store_of;
 use p4ce_harness::{HashRing, ShardKvCommand, ShardKvStore};
 
@@ -20,14 +20,15 @@ const GROUPS: usize = 3;
 const MEMBERS: usize = 3;
 
 fn main() {
-    let mut deployment = ShardedClusterBuilder::new(GROUPS, MEMBERS).build();
+    let mut deployment = ClusterBuilder::new(MEMBERS).groups(GROUPS).build();
 
     // Install a store on every replica; each knows its own group so it
     // can flag cross-shard contamination (there must be none).
     for g in 0..GROUPS {
         for i in 0..MEMBERS {
+            let k = deployment.at(g, i);
             deployment
-                .member_mut(g, i)
+                .member_mut(k)
                 .set_state_machine(Box::new(ShardKvStore::new(g as u16)));
         }
     }
@@ -35,7 +36,7 @@ fn main() {
     // Let every group elect its leader and get accelerated.
     deployment.sim.run_until(SimTime::from_millis(60));
     for g in 0..GROUPS {
-        assert!(deployment.leader(g).is_accelerated());
+        assert!(deployment.member(deployment.at(g, 0)).is_accelerated());
     }
 
     // The router: a consistent-hash ring over the shards. Keys are
@@ -65,7 +66,8 @@ fn main() {
             counter: *zip,
         }
         .encode(64);
-        deployment.with_member(group as usize, 0, move |leader, ops| {
+        let leader = deployment.at(group as usize, 0);
+        deployment.with_member(leader, move |leader, ops| {
             let accepted = leader.propose_value(payload, ops);
             assert!(accepted, "group leaders accept their own shard's keys");
         });

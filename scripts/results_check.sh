@@ -11,7 +11,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-bins=(
+# One entry per results/<bin>.md: the binary, then its arguments.
+runs=(
     fig5_goodput
     maxrate_consensus
     fig6_latency_throughput
@@ -21,6 +22,8 @@ bins=(
     ablation_credit_mode
     ablation_verb_cost
     related_p4xos
+    groups_sweep
+    "failover_budget --quick"
 )
 
 echo "==> cargo build --release -p p4ce-bench"
@@ -30,9 +33,11 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
 failed=0
-for bin in "${bins[@]}"; do
+for run in "${runs[@]}"; do
+    read -ra cmd <<<"$run"
+    bin=${cmd[0]}
     start=$SECONDS
-    ./target/release/"$bin" >"$out/$bin.md"
+    ./target/release/"$bin" "${cmd[@]:1}" >"$out/$bin.md"
     if cmp -s "$out/$bin.md" "results/$bin.md"; then
         echo "    identical  results/$bin.md ($((SECONDS - start)) s)"
     else
@@ -46,4 +51,4 @@ if [ "$failed" -ne 0 ]; then
     echo "results check: regenerated outputs differ from results/" >&2
     exit 1
 fi
-echo "results check: all ${#bins[@]} files byte-identical"
+echo "results check: all ${#runs[@]} files byte-identical"
