@@ -16,17 +16,22 @@
 //! `--max-schedules M`, `--deadline-secs T`, `--out FILE` (write the
 //! shrunk reproducer there on violation).
 //!
+//! `replay` takes either reproducer kind: `kind=explore` (a schedule)
+//! or `kind=chaos` (a fault storm), and judges both by the same oracle
+//! suite.
+//!
 //! Exit codes: 0 = clean (or, for the mutation checks, the injected bug
 //! was caught); 1 = an oracle violation survived (or a mutation check
-//! failed to catch its bug); 2 = usage error.
+//! failed to catch its bug); 2 = usage error, including a malformed
+//! reproducer.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
 use netsim::TraceHandle;
+use p4ce_harness::chaos;
 use p4ce_harness::explore::{self, shrink, Budget, ExploreSpec};
 use p4ce_harness::repro::Repro;
-use p4ce_harness::runner::System;
 
 struct Options {
     spec: ExploreSpec,
@@ -75,13 +80,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
         match flag.as_str() {
-            "--system" => {
-                o.spec.system = match value()? {
-                    "p4ce" => System::P4ce,
-                    "mu" => System::Mu,
-                    other => return Err(format!("unknown system {other}")),
-                }
-            }
+            "--system" => o.spec.system = value()?.parse()?,
             "--members" => o.spec.n_members = value()?.parse().map_err(|e| format!("{e}"))?,
             "--groups" => o.spec.groups = value()?.parse().map_err(|e| format!("{e}"))?,
             "--seed" => o.spec.seed = value()?.parse().map_err(|e| format!("{e}"))?,
@@ -114,6 +113,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     if o.seeds.is_empty() {
         o.seeds = vec![o.spec.seed];
     }
+    o.spec.check()?;
     Ok(o)
 }
 
@@ -280,7 +280,6 @@ fn export_trace(handle: &TraceHandle, trace_out: &str) {
 }
 
 fn run_replay(path: &str, trace_out: Option<&str>) -> ExitCode {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => return usage(&format!("cannot read {path}: {e}")),
@@ -294,53 +293,36 @@ fn run_replay(path: &str, trace_out: Option<&str>) -> ExitCode {
         Some(_) => handle.tracer("replay"),
         None => netsim::Tracer::disabled(),
     };
-    if repro.kind == "chaos" {
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            p4ce_harness::chaos::replay_traced(&repro, &tracer)
-        }));
-        let code = match run {
-            Ok(Ok(report)) => {
-                println!(
-                    "chaos replay clean: {} decided, {} frames dropped",
-                    report.decided_final, report.frames_dropped
-                );
-                ExitCode::SUCCESS
-            }
-            Ok(Err(e)) => return usage(&format!("cannot replay {path}: {e}")),
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("non-string panic");
-                println!("chaos replay reproduced the failure: {msg}");
-                ExitCode::FAILURE
-            }
-        };
-        if let Some(out) = trace_out {
-            export_trace(&handle, out);
+    let replayed = if repro.kind == "chaos" {
+        chaos::replay(&repro, &tracer).map(|r| {
+            let summary = format!(
+                "chaos replay, {} decided, {} frames dropped",
+                r.decided_final, r.frames_dropped
+            );
+            (summary, r.violation)
+        })
+    } else {
+        explore::replay(&repro, &tracer)
+            .map(|o| (format!("replayed {} steps", o.steps), o.violation))
+    };
+    let (summary, violation) = match replayed {
+        Ok(r) => r,
+        Err(e) => return usage(&format!("cannot replay {path}: {e}")),
+    };
+    let code = match violation {
+        Some(v) => {
+            println!("{summary}: {v}");
+            ExitCode::FAILURE
         }
-        return code;
-    }
-    match explore::replay_traced(&repro, &tracer) {
-        Ok(outcome) => {
-            let code = match outcome.violation {
-                Some(v) => {
-                    println!("replayed {} steps: {v}", outcome.steps);
-                    ExitCode::FAILURE
-                }
-                None => {
-                    println!("replayed {} steps: no violation", outcome.steps);
-                    ExitCode::SUCCESS
-                }
-            };
-            if let Some(out) = trace_out {
-                export_trace(&handle, out);
-            }
-            code
+        None => {
+            println!("{summary}: no violation");
+            ExitCode::SUCCESS
         }
-        Err(e) => usage(&format!("cannot replay {path}: {e}")),
+    };
+    if let Some(out) = trace_out {
+        export_trace(&handle, out);
     }
+    code
 }
 
 fn main() -> ExitCode {

@@ -1,30 +1,33 @@
 //! Link-level chaos: seeded random fault schedules run against whole
-//! clusters, with safety invariants checked after the storm and
-//! liveness demanded after the heal.
+//! clusters, judged by the explorer's oracle suite at the heal and at
+//! the end, with liveness demanded after the heal.
 //!
 //! The runner builds a cluster, lets it reach steady state, installs a
 //! [`FaultPlan`] on **both directions** of every member↔switch primary
 //! link (loss, duplication, reordering, jitter, corruption — plus one
 //! time-bounded partition isolating a single member), keeps proposing
 //! values to whichever member claims operational leadership, heals the
-//! links, and then verifies:
+//! links, drains, and reports:
 //!
-//! * **agreement** — every member applied a prefix of the same decided
-//!   sequence, byte for byte,
-//! * **unique leadership** — no two members ever reported operational
-//!   leadership for the same view,
+//! * **safety** — the same probes and oracles the explorer audits after
+//!   every step ([`crate::explore::oracle`]: single writer, unique
+//!   leader, agreement, prefix consistency, exactly-once) run once at
+//!   the heal and once at the end; the first firing lands in
+//!   [`ChaosReport::violation`], a value, never a panic,
 //! * **liveness** — callers assert `decided_final > decided_at_heal`,
 //! * **determinism** — the run is a pure function of the [`ChaosSpec`]:
 //!   rerunning the same spec reproduces the [`ChaosReport`] exactly.
 
 use bytes::Bytes;
-use mu::MemberEvent;
 use netsim::{FaultPlan, FaultStats, NodeId, PortId, SimDuration, SimTime, Simulation, Tracer};
 use rdma::Host;
 use replication::{LogEntry, StateMachine};
 
+use crate::explore::oracle::{audit, Violation};
+use crate::explore::{deployment_probes, record_applied};
 use crate::repro::Repro;
 use crate::runner::System;
+use crate::{splitmix, unit};
 
 /// Everything a chaos run perturbs, derived deterministically from one
 /// seed by [`ChaosSpec::seeded`]. All instants are offsets from the
@@ -59,18 +62,6 @@ pub struct ChaosSpec {
     pub drain: SimDuration,
     /// Gap between chaos-client proposal attempts.
     pub propose_every: SimDuration,
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn unit(state: &mut u64) -> f64 {
-    (splitmix(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 impl ChaosSpec {
@@ -115,13 +106,7 @@ impl ChaosSpec {
     /// [`crate::explore::ExploreSpec::to_repro`].
     pub fn to_repro(&self, system: System, n_members: usize) -> Repro {
         let mut r = Repro::new("chaos");
-        r.set(
-            "system",
-            match system {
-                System::P4ce => "p4ce",
-                System::Mu => "mu",
-            },
-        );
+        r.set("system", system.name());
         r.set("members", n_members);
         r.set("seed", self.seed);
         r.set("loss", self.loss);
@@ -144,16 +129,16 @@ impl ChaosSpec {
     ///
     /// # Errors
     ///
-    /// Reports a wrong kind or a missing/unparseable field.
+    /// Reports a wrong kind, a missing/unparseable field, or a member
+    /// count the system cannot build.
     pub fn from_repro(r: &Repro) -> Result<(System, usize, ChaosSpec), String> {
         if r.kind != "chaos" {
             return Err(format!("not a chaos reproducer: kind={}", r.kind));
         }
-        let system = match r.get("system") {
-            Some("p4ce") | None => System::P4ce,
-            Some("mu") => System::Mu,
-            other => return Err(format!("bad system {other:?}")),
-        };
+        // Reproducers from before Mu runs had no `system` key.
+        let system: System = r.get("system").unwrap_or("p4ce").parse()?;
+        let n_members = r.parse("members")?;
+        system.check_members(n_members)?;
         let ns = |key: &str| -> Result<SimDuration, String> {
             Ok(SimDuration::from_nanos(r.parse::<u64>(key)?))
         };
@@ -172,7 +157,7 @@ impl ChaosSpec {
             drain: ns("drain_ns")?,
             propose_every: ns("propose_every_ns")?,
         };
-        Ok((system, r.parse("members")?, spec))
+        Ok((system, n_members, spec))
     }
 }
 
@@ -213,12 +198,16 @@ pub struct ChaosReport {
     /// Frames the hosts discarded as unparseable (corruption landing).
     pub parse_drops: u64,
     /// Deduplicated `(view, member)` pairs that claimed leadership
-    /// (`BecameLeader` on the P4CE member, plus `LeaderOperational` on
-    /// Mu's) — at most one member per view, by assertion.
+    /// (`BecameLeader`, plus `LeaderOperational` on Mu's members), in
+    /// member order — the claims the unique-leader oracle audits.
     pub leader_views: Vec<(u64, u8)>,
+    /// The first oracle violation, from the audit at the heal (step 0)
+    /// or, if that one passed, at the end (step 1).
+    pub violation: Option<Violation>,
 }
 
-/// Records every applied entry, for post-run agreement checks.
+/// Records every applied entry, for the oracle probes
+/// ([`crate::explore::oracle::MemberProbe`]) to audit.
 #[derive(Default)]
 pub struct ChaosRecorder {
     /// Applied sequence numbers, in application order.
@@ -304,113 +293,58 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-fn assert_prefix_agreement(logs: &[(Vec<u64>, Vec<Vec<u8>>)]) {
-    for a in 0..logs.len() {
-        for b in (a + 1)..logs.len() {
-            let n = logs[a].0.len().min(logs[b].0.len());
-            assert_eq!(
-                &logs[a].0[..n],
-                &logs[b].0[..n],
-                "members {a} and {b} disagree on decided sequence numbers"
-            );
-            assert_eq!(
-                &logs[a].1[..n],
-                &logs[b].1[..n],
-                "members {a} and {b} disagree on decided payloads"
-            );
-        }
-    }
-}
-
-fn assert_unique_leader_per_view(leader_views: &[(u64, u8)]) {
-    for (i, &(view, member)) in leader_views.iter().enumerate() {
-        for &(v2, m2) in &leader_views[..i] {
-            assert!(
-                view != v2 || member == m2,
-                "two operational leaders (members {member} and {m2}) in view {view}"
-            );
-        }
-    }
-}
-
-/// The run itself, shared between the P4CE and Mu deployments.
-fn chaos_body<C: mu::Comm>(spec: &ChaosSpec, d: &mut mu::Deployment<C>) -> ChaosReport {
-    let n = d.members.len();
-    for i in 0..n {
-        d.member_mut(i)
-            .set_state_machine(Box::new(ChaosRecorder::default()));
-    }
+/// The run itself, shared between the P4CE and Mu deployments;
+/// `accelerated` is the system's extra readiness condition on top of
+/// member 0 leading operationally.
+fn chaos_body<C: mu::Comm>(
+    spec: &ChaosSpec,
+    d: &mut mu::Deployment<C>,
+    accelerated: impl Fn(&mu::Deployment<C>) -> bool,
+) -> ChaosReport {
+    record_applied(d);
     let setup_deadline = d.sim.now() + SimDuration::from_millis(300);
-    while d.sim.now() < setup_deadline && !d.member(0).is_operational_leader() {
+    while d.sim.now() < setup_deadline && !(d.member(0).is_operational_leader() && accelerated(d)) {
         d.sim.run_for(SimDuration::from_millis(1));
     }
     assert!(
-        d.member(0).is_operational_leader(),
+        d.member(0).is_operational_leader() && accelerated(d),
         "cluster never reached steady state"
     );
 
     let storm_start = d.sim.now();
     install_storm(&mut d.sim, &d.members, spec, storm_start);
 
+    let n = d.members.len();
     let mut attempted = 0u64;
     let mut accepted = 0u64;
     let mut next_value = 0u64;
-    let heal_at = storm_start + spec.storm;
-    while d.sim.now() < heal_at {
-        d.sim.run_for(spec.propose_every);
-        if let Some(l) = (0..n).find(|&i| d.member(i).is_operational_leader()) {
-            attempted += 1;
-            let payload = Bytes::from(next_value.to_be_bytes().to_vec());
-            next_value += 1;
-            if d.with_member(l, move |m, ops| m.propose_value(payload, ops)) {
-                accepted += 1;
-            }
-        }
-    }
-
-    clear_storm(&mut d.sim, &d.members);
-    let decided_at_heal = (0..n).map(|i| d.member(i).stats.decided).max().unwrap_or(0);
-
-    let drain_until = d.sim.now() + spec.drain;
-    while d.sim.now() < drain_until {
-        d.sim.run_for(spec.propose_every);
-        if let Some(l) = (0..n).find(|&i| d.member(i).is_operational_leader()) {
-            attempted += 1;
-            let payload = Bytes::from(next_value.to_be_bytes().to_vec());
-            next_value += 1;
-            if d.with_member(l, move |m, ops| m.propose_value(payload, ops)) {
-                accepted += 1;
-            }
-        }
-    }
-    // Let replicas catch up on applying the tail.
-    d.sim.run_for(SimDuration::from_millis(2));
-
-    let logs: Vec<(Vec<u64>, Vec<Vec<u8>>)> = (0..n)
-        .map(|i| {
-            let rec = d
-                .member(i)
-                .state_machine()
-                .and_then(|sm| (sm as &dyn std::any::Any).downcast_ref::<ChaosRecorder>())
-                .expect("recorder installed");
-            (rec.seqs.clone(), rec.payloads.clone())
-        })
-        .collect();
-    assert_prefix_agreement(&logs);
-
-    let mut leader_views: Vec<(u64, u8)> = Vec::new();
-    for i in 0..n {
-        for (_, ev) in &d.member(i).stats.events {
-            if let MemberEvent::BecameLeader { view } | MemberEvent::LeaderOperational { view } = ev
-            {
-                let entry = (*view, i as u8);
-                if !leader_views.contains(&entry) {
-                    leader_views.push(entry);
+    let mut propose_until = |d: &mut mu::Deployment<C>, until: SimTime| {
+        while d.sim.now() < until {
+            d.sim.run_for(spec.propose_every);
+            if let Some(l) = (0..n).find(|&i| d.member(i).is_operational_leader()) {
+                attempted += 1;
+                let payload = Bytes::from(next_value.to_be_bytes().to_vec());
+                next_value += 1;
+                if d.with_member(l, move |m, ops| m.propose_value(payload, ops)) {
+                    accepted += 1;
                 }
             }
         }
-    }
-    assert_unique_leader_per_view(&leader_views);
+    };
+    propose_until(d, storm_start + spec.storm);
+
+    clear_storm(&mut d.sim, &d.members);
+    let decided_at_heal = (0..n).map(|i| d.member(i).stats.decided).max().unwrap_or(0);
+    let at_heal = audit(&deployment_probes(d), 0);
+
+    let drain_until = d.sim.now() + spec.drain;
+    propose_until(d, drain_until);
+    // Let replicas catch up on applying the tail.
+    d.sim.run_for(SimDuration::from_millis(2));
+
+    let groups = deployment_probes(d);
+    let violation = at_heal.or_else(|| audit(&groups, 1));
+    let probes = &groups[0];
 
     let injected = fault_totals(&d.sim, &d.members);
     let mut timeout_retransmits = 0;
@@ -423,10 +357,15 @@ fn chaos_body<C: mu::Comm>(spec: &ChaosSpec, d: &mut mu::Deployment<C>) -> Chaos
         parse_drops += s.parse_drops;
     }
     let decided_final = (0..n).map(|i| d.member(i).stats.decided).max().unwrap_or(0);
-    let applied_min = logs.iter().skip(1).map(|(s, _)| s.len()).min().unwrap_or(0);
+    let applied_min = probes
+        .iter()
+        .skip(1)
+        .map(|p| p.applied_seqs.len())
+        .min()
+        .unwrap_or(0);
     let mut log_hash = 0xcbf2_9ce4_8422_2325u64;
-    for (seqs, payloads) in &logs {
-        for (seq, payload) in seqs.iter().zip(payloads) {
+    for p in probes {
+        for (seq, payload) in p.applied_seqs.iter().zip(&p.applied_payloads) {
             fnv1a(&mut log_hash, &seq.to_be_bytes());
             fnv1a(&mut log_hash, payload);
         }
@@ -447,91 +386,54 @@ fn chaos_body<C: mu::Comm>(spec: &ChaosSpec, d: &mut mu::Deployment<C>) -> Chaos
         timeout_retransmits,
         nak_retransmits,
         parse_drops,
-        leader_views,
+        leader_views: probes
+            .iter()
+            .flat_map(|p| p.leader_claims.iter().copied())
+            .collect(),
+        violation,
     }
 }
 
-/// Runs a seeded chaos schedule against an `n_members` P4CE cluster.
+/// Runs a seeded chaos schedule against an `n_members` cluster of
+/// `system`. `tracer` collects the storm's cross-layer record stream
+/// (see [`netsim::TraceHandle`]) so a failing schedule can be exported
+/// and visualized; the report is identical either way — tracing
+/// observes, never perturbs.
 ///
 /// # Panics
 ///
-/// Panics if the cluster never accelerates, or if agreement /
-/// unique-leadership is violated — the panic *is* the test failure.
-pub fn run_p4ce(spec: &ChaosSpec, n_members: usize) -> ChaosReport {
-    run_p4ce_traced(spec, n_members, &Tracer::disabled())
-}
-
-/// [`run_p4ce`] with a trace sink attached (see [`netsim::TraceHandle`]):
-/// the report is identical — tracing observes, never perturbs — but the
-/// sink collects the full cross-layer record stream of the storm, so a
-/// failing schedule can be exported and visualized.
-pub fn run_p4ce_traced(spec: &ChaosSpec, n_members: usize, tracer: &Tracer) -> ChaosReport {
-    let mut d = p4ce::ClusterBuilder::new(n_members)
-        .seed(spec.seed)
-        .tracer(tracer.clone())
-        .build();
-    let accel_deadline = d.sim.now() + SimDuration::from_millis(300);
-    while d.sim.now() < accel_deadline
-        && !(d.leader().is_operational_leader() && d.leader().is_accelerated())
-    {
-        d.sim.run_for(SimDuration::from_millis(1));
+/// Panics if the cluster never reaches steady state (for P4CE: never
+/// accelerates) — a setup failure, not a safety verdict; those land in
+/// [`ChaosReport::violation`].
+pub fn run(spec: &ChaosSpec, n_members: usize, system: System, tracer: &Tracer) -> ChaosReport {
+    match system {
+        System::P4ce => {
+            let mut d = p4ce::ClusterBuilder::new(n_members)
+                .seed(spec.seed)
+                .tracer(tracer.clone())
+                .build();
+            chaos_body(spec, &mut d, |d| d.leader().is_accelerated())
+        }
+        System::Mu => {
+            let mut d = mu::ClusterBuilder::new(n_members)
+                .seed(spec.seed)
+                .tracer(tracer.clone())
+                .build();
+            chaos_body(spec, &mut d, |_| true)
+        }
     }
-    assert!(
-        d.leader().is_accelerated(),
-        "cluster must accelerate before the storm"
-    );
-    chaos_body(spec, &mut d)
 }
 
-/// Runs a seeded chaos schedule against an `n_members` Mu cluster.
-///
-/// # Panics
-///
-/// Same contract as [`run_p4ce`], minus the acceleration requirement.
-pub fn run_mu(spec: &ChaosSpec, n_members: usize) -> ChaosReport {
-    run_mu_traced(spec, n_members, &Tracer::disabled())
-}
-
-/// [`run_mu`] with a trace sink attached; same contract as
-/// [`run_p4ce_traced`].
-pub fn run_mu_traced(spec: &ChaosSpec, n_members: usize, tracer: &Tracer) -> ChaosReport {
-    let mut d = mu::ClusterBuilder::new(n_members)
-        .seed(spec.seed)
-        .tracer(tracer.clone())
-        .build();
-    chaos_body(spec, &mut d)
-}
-
-/// Runs a decoded `kind=chaos` reproducer.
+/// Runs a decoded `kind=chaos` reproducer; `tracer` as in [`run`]
+/// (`p4ce-explore replay --trace`). The replayed report carries the
+/// original run's verdict.
 ///
 /// # Errors
 ///
 /// Reports a malformed reproducer.
-///
-/// # Panics
-///
-/// Panics exactly where the original failing run did — replaying a
-/// reproducer *is* re-triggering its failure.
-pub fn replay(repro: &Repro) -> Result<ChaosReport, String> {
-    replay_traced(repro, &Tracer::disabled())
-}
-
-/// Replays a `kind=chaos` reproducer with a trace sink attached, so the
-/// failing schedule can be visualized (`p4ce-explore replay --trace`).
-///
-/// # Errors
-///
-/// Reports a malformed reproducer.
-///
-/// # Panics
-///
-/// Same contract as [`replay`].
-pub fn replay_traced(repro: &Repro, tracer: &Tracer) -> Result<ChaosReport, String> {
+pub fn replay(repro: &Repro, tracer: &Tracer) -> Result<ChaosReport, String> {
     let (system, n, spec) = ChaosSpec::from_repro(repro)?;
-    Ok(match system {
-        System::P4ce => run_p4ce_traced(&spec, n, tracer),
-        System::Mu => run_mu_traced(&spec, n, tracer),
-    })
+    Ok(run(&spec, n, system, tracer))
 }
 
 /// What [`shrink_spec`] converged on: the reduced spec and how many
@@ -596,38 +498,29 @@ pub fn shrink_spec(spec: &ChaosSpec, fails: &mut dyn FnMut(&ChaosSpec) -> bool) 
     }
 }
 
-/// Runs `spec` on `system`; if the run's internal safety assertions
-/// fail, shrinks the spec to a minimal still-failing schedule, prints
-/// the `kind=chaos` reproducer, and re-raises the original panic so the
-/// test still fails. The integration tests in `tests/chaos.rs` route
-/// through this, so every red chaos run comes with a replayable seed
-/// file in its output.
+/// Runs `spec` on `system`; if an oracle fires, shrinks the spec to a
+/// minimal still-violating schedule, prints the `kind=chaos`
+/// reproducer, and fails. The integration tests in `tests/chaos.rs`
+/// route through this, so every red chaos run comes with a replayable
+/// seed file in its output.
+///
+/// # Panics
+///
+/// Panics with the violation after printing the reproducer, and
+/// wherever [`run`] does.
 pub fn run_checked(spec: &ChaosSpec, n_members: usize, system: System) -> ChaosReport {
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    let run = |s: &ChaosSpec| match system {
-        System::P4ce => run_p4ce(s, n_members),
-        System::Mu => run_mu(s, n_members),
-    };
-    match catch_unwind(AssertUnwindSafe(|| run(spec))) {
-        Ok(report) => report,
-        Err(payload) => {
-            // Candidate runs re-panic by design; silence the hook so
-            // the output shows one failure and one reproducer, not
-            // dozens of backtraces.
-            let hook = std::panic::take_hook();
-            std::panic::set_hook(Box::new(|_| {}));
-            let shrunk = shrink_spec(spec, &mut |s| {
-                catch_unwind(AssertUnwindSafe(|| run(s))).is_err()
-            });
-            std::panic::set_hook(hook);
-            eprintln!(
-                "chaos run failed; minimal reproducer (after {} shrink runs):",
-                shrunk.runs
-            );
-            eprint!("{}", shrunk.spec.to_repro(system, n_members).encode());
-            resume_unwind(payload)
-        }
+    let run_spec = |s: &ChaosSpec| run(s, n_members, system, &Tracer::disabled());
+    let report = run_spec(spec);
+    if let Some(v) = &report.violation {
+        let shrunk = shrink_spec(spec, &mut |s| run_spec(s).violation.is_some());
+        eprintln!(
+            "chaos run failed; minimal reproducer (after {} shrink runs):",
+            shrunk.runs
+        );
+        eprint!("{}", shrunk.spec.to_repro(system, n_members).encode());
+        panic!("chaos run violated safety: {v}");
     }
+    report
 }
 
 #[cfg(test)]
@@ -671,6 +564,26 @@ mod tests {
             ChaosSpec::from_repro(&Repro::new("explore")).is_err(),
             "wrong kind must be rejected"
         );
+    }
+
+    #[test]
+    fn chaos_reproducer_with_members_out_of_range_is_rejected() {
+        let spec = ChaosSpec::seeded(1, 3);
+        for (system, max) in [
+            (System::P4ce, p4ce::MAX_GROUP_MEMBERS),
+            (System::Mu, mu::MAX_GROUP_MEMBERS),
+        ] {
+            let mut r = spec.to_repro(system, 3);
+            for bad in [0, 1, max + 1] {
+                r.set("members", bad);
+                assert!(
+                    ChaosSpec::from_repro(&r).is_err(),
+                    "{system} with {bad} members must be rejected"
+                );
+            }
+            r.set("members", max);
+            assert!(ChaosSpec::from_repro(&r).is_ok(), "{system} takes {max}");
+        }
     }
 
     #[test]

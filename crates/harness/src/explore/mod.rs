@@ -42,9 +42,10 @@ use rdma::Host;
 use crate::chaos::ChaosRecorder;
 use crate::repro::{decode_decisions, encode_decisions, Repro};
 use crate::runner::System;
+use crate::splitmix;
 use mu::MemberEvent;
 
-use oracle::{check_all, check_group, MemberProbe, Violation};
+use oracle::{audit, MemberProbe, Violation};
 
 /// How long an explored partition lasts — effectively "for the rest of
 /// the schedule" at model-checking horizons.
@@ -151,13 +152,7 @@ impl ExploreSpec {
     /// Serializes the scenario plus a schedule into a reproducer.
     pub fn to_repro(&self, decisions: &BTreeMap<u32, u32>) -> Repro {
         let mut r = Repro::new("explore");
-        r.set(
-            "system",
-            match self.system {
-                System::Mu => "mu",
-                System::P4ce => "p4ce",
-            },
-        );
+        r.set("system", self.system.name());
         r.set("members", self.n_members);
         r.set("groups", self.groups);
         r.set("crosswire_groups", self.crosswire_groups);
@@ -181,16 +176,12 @@ impl ExploreSpec {
     ///
     /// # Errors
     ///
-    /// Reports a wrong `kind` or missing/malformed fields.
+    /// Reports a wrong `kind`, missing/malformed fields, or a deployment
+    /// shape [`ExploreSpec::check`] refuses.
     pub fn from_repro(r: &Repro) -> Result<(ExploreSpec, BTreeMap<u32, u32>), String> {
         if r.kind != "explore" {
             return Err(format!("expected kind=explore, got {}", r.kind));
         }
-        let system = match r.get("system") {
-            Some("mu") => System::Mu,
-            Some("p4ce") => System::P4ce,
-            other => return Err(format!("bad system {other:?}")),
-        };
         let partition_leader_at = match r.get("partition_leader_at") {
             None | Some("-") => None,
             Some(s) => Some(s.parse().map_err(|_| format!("bad partition step {s}"))?),
@@ -206,7 +197,7 @@ impl ExploreSpec {
             Some(s) => s.parse().map_err(|_| format!("bad crosswire_groups {s}"))?,
         };
         let spec = ExploreSpec {
-            system,
+            system: r.parse("system")?,
             n_members: r.parse("members")?,
             groups,
             crosswire_groups,
@@ -217,17 +208,28 @@ impl ExploreSpec {
             propose_every: r.parse("propose_every")?,
             horizon: r.parse("horizon")?,
         };
+        spec.check()?;
         let decisions = decode_decisions(r.get("decisions").unwrap_or("-"))?;
         Ok((spec, decisions))
     }
-}
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    /// Checks that the spec describes a deployment the builders accept:
+    /// `n_members` within the system's group size, `groups` within
+    /// `1..=256`, and several groups only behind the P4CE switch.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field out of range.
+    pub fn check(&self) -> Result<(), String> {
+        self.system.check_members(self.n_members)?;
+        if !(1..=256).contains(&self.groups) {
+            return Err(format!("groups={}: takes 1..=256", self.groups));
+        }
+        if self.groups > 1 && self.system == System::Mu {
+            return Err("groups>1: multi-group exploration targets the P4CE switch".to_owned());
+        }
+        Ok(())
+    }
 }
 
 /// The pluggable scheduler exploration runs under: at each branching
@@ -278,124 +280,6 @@ pub struct ScheduleOutcome {
     pub steps: u32,
 }
 
-enum Target {
-    P4ce(p4ce::Deployment),
-    Mu(mu::Deployment),
-}
-
-impl Target {
-    fn build(spec: &ExploreSpec, tracer: &Tracer) -> Target {
-        // A small log keeps per-schedule allocation negligible; model
-        // checking re-builds the deployment thousands of times.
-        let log_size = 64 << 10;
-        let groups = usize::from(spec.groups);
-        match spec.system {
-            System::P4ce => {
-                // Shrink control-plane latencies so the un-explored
-                // setup phase is short: the switch reconfigures fast,
-                // and (behind a plain fabric) the leader gives up on
-                // acceleration fast. Keep re-probe ≥ reconfig so a
-                // healthy handshake still completes between probes.
-                let switch_cfg = p4ce_switch::P4ceSwitchConfig {
-                    p4ce_enabled: spec.p4ce_enabled,
-                    crosswire_groups: spec.crosswire_groups,
-                    reconfig_delay: SimDuration::from_micros(500),
-                    ..Default::default()
-                };
-                let reaccel = if spec.p4ce_enabled {
-                    SimDuration::from_millis(5)
-                } else {
-                    SimDuration::from_micros(200)
-                };
-                let mut d = p4ce::ClusterBuilder::new(spec.n_members)
-                    .groups(groups)
-                    .seed(spec.seed)
-                    .log_size(log_size)
-                    .switch_config(switch_cfg)
-                    .skip_epoch_revoke(spec.skip_epoch_revoke)
-                    .reaccel_period(reaccel)
-                    .tracer(tracer.clone())
-                    .build();
-                for k in 0..d.members.len() {
-                    d.member_mut(k)
-                        .set_state_machine(Box::new(ChaosRecorder::default()));
-                }
-                Target::P4ce(d)
-            }
-            System::Mu => {
-                assert_eq!(groups, 1, "multi-group exploration targets the P4CE switch");
-                let mut d = mu::ClusterBuilder::new(spec.n_members)
-                    .seed(spec.seed)
-                    .log_size(log_size)
-                    .tracer(tracer.clone())
-                    .build();
-                for i in 0..spec.n_members {
-                    d.member_mut(i)
-                        .set_state_machine(Box::new(ChaosRecorder::default()));
-                }
-                Target::Mu(d)
-            }
-        }
-    }
-
-    fn sim_mut(&mut self) -> &mut Simulation {
-        match self {
-            Target::P4ce(d) => &mut d.sim,
-            Target::Mu(d) => &mut d.sim,
-        }
-    }
-
-    fn ready(&self, spec: &ExploreSpec) -> bool {
-        match self {
-            Target::P4ce(d) => (0..d.groups()).all(|g| {
-                let op = (0..spec.n_members).any(|i| d.member(d.at(g, i)).is_operational_leader());
-                if spec.p4ce_enabled {
-                    op && d.member(d.at(g, 0)).is_accelerated()
-                } else {
-                    op
-                }
-            }),
-            Target::Mu(d) => (0..spec.n_members).any(|i| d.member(i).is_operational_leader()),
-        }
-    }
-
-    /// Drives the deployment to steady state under plain FIFO. The
-    /// explored window starts from an operational cluster so every
-    /// schedule perturbs the protocol, not the boot sequence.
-    fn setup(&mut self, spec: &ExploreSpec) {
-        let deadline = self.sim_mut().now() + SimDuration::from_millis(200);
-        while self.sim_mut().now() < deadline && !self.ready(spec) {
-            self.sim_mut().run_for(SimDuration::from_micros(50));
-        }
-        assert!(
-            self.ready(spec),
-            "explore setup never reached steady state ({spec:?})"
-        );
-    }
-
-    fn propose(&mut self, counter: u64) -> bool {
-        match self {
-            Target::P4ce(d) => propose_into(d, counter),
-            Target::Mu(d) => propose_into(d, counter),
-        }
-    }
-
-    /// Snapshots every member for the oracles, one list per group.
-    fn probes(&self) -> Vec<Vec<MemberProbe>> {
-        match self {
-            Target::P4ce(d) => deployment_probes(d),
-            Target::Mu(d) => deployment_probes(d),
-        }
-    }
-
-    fn members(&self) -> &[netsim::NodeId] {
-        match self {
-            Target::P4ce(d) => &d.members,
-            Target::Mu(d) => &d.members,
-        }
-    }
-}
-
 /// One proposal into every group that currently has an operational
 /// leader. With several groups the payload carries a 2-byte group tag,
 /// which is what the group-isolation oracle audits.
@@ -420,7 +304,17 @@ fn propose_into<C: mu::Comm>(d: &mut mu::Deployment<C>, counter: u64) -> bool {
     any
 }
 
-fn deployment_probes<C: mu::Comm>(d: &mu::Deployment<C>) -> Vec<Vec<MemberProbe>> {
+/// Installs a [`ChaosRecorder`] on every member, so the probes see
+/// what each member applied.
+pub(crate) fn record_applied<C: mu::Comm>(d: &mut mu::Deployment<C>) {
+    for k in 0..d.members.len() {
+        d.member_mut(k)
+            .set_state_machine(Box::new(ChaosRecorder::default()));
+    }
+}
+
+/// Snapshots every member for the oracles, one list per group.
+pub(crate) fn deployment_probes<C: mu::Comm>(d: &mu::Deployment<C>) -> Vec<Vec<MemberProbe>> {
     (0..d.groups())
         .map(|g| {
             let ips: Vec<Ipv4Addr> = (0..d.group_size()).map(|i| mu::member_ip(g, i)).collect();
@@ -474,31 +368,90 @@ fn probe_from<C: mu::Comm>(host: &Host<mu::Member<C>>, i: usize, ips: &[Ipv4Addr
 /// Executes one schedule of `spec` from scratch: FIFO setup, then
 /// `spec.horizon` explored steps under the given decision vector (or a
 /// random walk when `rng` is set), auditing the oracles after every
-/// step.
+/// step. `tracer` collects the cross-layer record stream of the
+/// schedule, which is how a shrunk reproducer gets visualized
+/// (`p4ce-explore replay --trace`); tracing observes, never perturbs.
 pub fn run_schedule(
-    spec: &ExploreSpec,
-    decisions: &BTreeMap<u32, u32>,
-    rng: Option<u64>,
-) -> ScheduleOutcome {
-    run_schedule_traced(spec, decisions, rng, &Tracer::disabled())
-}
-
-/// [`run_schedule`] with a trace sink attached to every layer of the
-/// deployment. The outcome is identical — tracing observes, never
-/// perturbs — but the sink collects the cross-layer record stream of
-/// the schedule, which is how a shrunk reproducer gets visualized
-/// (`p4ce-explore replay --trace`).
-pub fn run_schedule_traced(
     spec: &ExploreSpec,
     decisions: &BTreeMap<u32, u32>,
     rng: Option<u64>,
     tracer: &Tracer,
 ) -> ScheduleOutcome {
-    let mut target = Target::build(spec, tracer);
-    target.setup(spec);
+    // A small log keeps per-schedule allocation negligible; model
+    // checking re-builds the deployment thousands of times.
+    let log_size = 64 << 10;
+    match spec.system {
+        System::P4ce => {
+            // Shrink control-plane latencies so the un-explored setup
+            // phase is short: the switch reconfigures fast, and (behind
+            // a plain fabric) the leader gives up on acceleration fast.
+            // Keep re-probe ≥ reconfig so a healthy handshake still
+            // completes between probes.
+            let switch_cfg = p4ce_switch::P4ceSwitchConfig {
+                p4ce_enabled: spec.p4ce_enabled,
+                crosswire_groups: spec.crosswire_groups,
+                reconfig_delay: SimDuration::from_micros(500),
+                ..Default::default()
+            };
+            let reaccel = if spec.p4ce_enabled {
+                SimDuration::from_millis(5)
+            } else {
+                SimDuration::from_micros(200)
+            };
+            let d = p4ce::ClusterBuilder::new(spec.n_members)
+                .groups(usize::from(spec.groups))
+                .seed(spec.seed)
+                .log_size(log_size)
+                .switch_config(switch_cfg)
+                .skip_epoch_revoke(spec.skip_epoch_revoke)
+                .reaccel_period(reaccel)
+                .tracer(tracer.clone())
+                .build();
+            run_on(spec, d, decisions, rng, |d| {
+                !spec.p4ce_enabled || (0..d.groups()).all(|g| d.member(d.at(g, 0)).is_accelerated())
+            })
+        }
+        System::Mu => {
+            let d = mu::ClusterBuilder::new(spec.n_members)
+                .seed(spec.seed)
+                .log_size(log_size)
+                .tracer(tracer.clone())
+                .build();
+            run_on(spec, d, decisions, rng, |_| true)
+        }
+    }
+}
+
+/// [`run_schedule`] on a built deployment of either system;
+/// `accelerated` is the system's extra readiness condition on top of an
+/// operational leader in every group.
+fn run_on<C: mu::Comm>(
+    spec: &ExploreSpec,
+    mut d: mu::Deployment<C>,
+    decisions: &BTreeMap<u32, u32>,
+    rng: Option<u64>,
+    accelerated: impl Fn(&mu::Deployment<C>) -> bool,
+) -> ScheduleOutcome {
+    record_applied(&mut d);
+    // Drive the deployment to steady state under plain FIFO. The
+    // explored window starts from an operational cluster so every
+    // schedule perturbs the protocol, not the boot sequence.
+    let ready = |d: &mu::Deployment<C>| {
+        (0..d.groups())
+            .all(|g| (0..d.group_size()).any(|i| d.member(d.at(g, i)).is_operational_leader()))
+            && accelerated(d)
+    };
+    let deadline = d.sim.now() + SimDuration::from_millis(200);
+    while d.sim.now() < deadline && !ready(&d) {
+        d.sim.run_for(SimDuration::from_micros(50));
+    }
+    assert!(
+        ready(&d),
+        "explore setup never reached steady state ({spec:?})"
+    );
 
     let trace = Arc::new(Mutex::new(Vec::new()));
-    target.sim_mut().set_scheduler(Box::new(GuidedScheduler {
+    d.sim.set_scheduler(Box::new(GuidedScheduler {
         decisions: decisions.clone(),
         rng,
         trace: Arc::clone(&trace),
@@ -511,29 +464,21 @@ pub fn run_schedule_traced(
     for step in 0..spec.horizon {
         if spec.partition_leader_at == Some(step) {
             // Member 0 of group 0: faults stay confined to one group.
-            let node = target.members()[0];
-            partition_member(target.sim_mut(), node);
+            let node = d.members[0];
+            partition_member(&mut d.sim, node);
         }
-        if spec.propose_every > 0 && step % spec.propose_every == 0 && target.propose(proposal) {
+        if spec.propose_every > 0
+            && step % spec.propose_every == 0
+            && propose_into(&mut d, proposal)
+        {
             proposal += 1;
         }
-        if !target.sim_mut().step() {
+        if !d.sim.step() {
             break;
         }
         steps = step + 1;
-        let probes = target.probes();
-        let fired = if let [probes] = &probes[..] {
-            check_all(probes, step)
-        } else {
-            probes.iter().enumerate().find_map(|(g, probes)| {
-                check_group(probes, step, g as u16).map(|mut v| {
-                    v.detail = format!("group {g}: {}", v.detail);
-                    v
-                })
-            })
-        };
-        if let Some(v) = fired {
-            violation = Some(v);
+        violation = audit(&deployment_probes(&d), step);
+        if violation.is_some() {
             break;
         }
     }
@@ -640,7 +585,7 @@ pub fn explore(spec: &ExploreSpec, delay_bound: u32, budget: Budget) -> ExploreR
             .filter(|&(_, &c)| c != 0)
             .map(|(i, &c)| (i as u32, c))
             .collect();
-        let outcome = run_schedule(spec, &decisions, None);
+        let outcome = run_schedule(spec, &decisions, None, &Tracer::disabled());
         schedules += 1;
         max_branch_points = max_branch_points.max(outcome.branch_counts.len());
         if let Some(violation) = outcome.violation {
@@ -719,7 +664,7 @@ pub fn random_walk(spec: &ExploreSpec, budget: Budget) -> ExploreReport {
             }
         }
         let walk_seed = splitmix(&mut state);
-        let outcome = run_schedule(spec, &BTreeMap::new(), Some(walk_seed));
+        let outcome = run_schedule(spec, &BTreeMap::new(), Some(walk_seed), &Tracer::disabled());
         schedules += 1;
         max_branch_points = max_branch_points.max(outcome.branch_counts.len());
         if let Some(violation) = outcome.violation {
@@ -737,24 +682,16 @@ pub fn random_walk(spec: &ExploreSpec, budget: Budget) -> ExploreReport {
     done(schedules, max_branch_points, ExploreStatus::BudgetExhausted)
 }
 
-/// Replays a serialized reproducer and reports what it does now.
+/// Replays a serialized reproducer and reports what it does now;
+/// `tracer` collects the schedule's records so a failing one can be
+/// exported and visualized.
 ///
 /// # Errors
 ///
 /// Reports a malformed reproducer.
-pub fn replay(repro: &Repro) -> Result<ScheduleOutcome, String> {
-    replay_traced(repro, &Tracer::disabled())
-}
-
-/// Replays a serialized reproducer with a trace sink attached, so the
-/// failing schedule can be exported and visualized.
-///
-/// # Errors
-///
-/// Reports a malformed reproducer.
-pub fn replay_traced(repro: &Repro, tracer: &Tracer) -> Result<ScheduleOutcome, String> {
+pub fn replay(repro: &Repro, tracer: &Tracer) -> Result<ScheduleOutcome, String> {
     let (spec, decisions) = ExploreSpec::from_repro(repro)?;
-    Ok(run_schedule_traced(&spec, &decisions, None, tracer))
+    Ok(run_schedule(&spec, &decisions, None, tracer))
 }
 
 #[cfg(test)]
@@ -782,7 +719,7 @@ mod tests {
         // The shrunk reproducer survives a serialize/parse/replay trip.
         let text = shrunk.spec.to_repro(&shrunk.decisions).encode();
         let back = Repro::decode(&text).expect("decode");
-        let outcome = replay(&back).expect("replay");
+        let outcome = replay(&back, &Tracer::disabled()).expect("replay");
         let v = outcome.violation.expect("replayed violation");
         assert_eq!(v.oracle, OracleKind::SingleWriter);
     }
@@ -820,9 +757,45 @@ mod tests {
         // The counterexample round-trips through a reproducer file.
         let text = spec.to_repro(&cex.decisions).encode();
         let back = Repro::decode(&text).expect("decode");
-        let outcome = replay(&back).expect("replay");
+        let outcome = replay(&back, &Tracer::disabled()).expect("replay");
         let v = outcome.violation.expect("replayed violation");
         assert_eq!(v.oracle, OracleKind::GroupIsolation);
+    }
+
+    #[test]
+    fn explore_reproducer_with_members_out_of_range_is_rejected() {
+        for (spec, max) in [
+            (ExploreSpec::p4ce(3), p4ce::MAX_GROUP_MEMBERS),
+            (ExploreSpec::mu(3), mu::MAX_GROUP_MEMBERS),
+        ] {
+            let mut r = spec.to_repro(&BTreeMap::new());
+            for bad in [0, 1, max + 1] {
+                r.set("members", bad);
+                assert!(ExploreSpec::from_repro(&r).is_err(), "{bad} members");
+            }
+            r.set("members", max);
+            assert!(ExploreSpec::from_repro(&r).is_ok(), "{max} members");
+        }
+    }
+
+    #[test]
+    fn explore_reproducer_with_groups_out_of_range_is_rejected() {
+        let mut r = ExploreSpec::sharded(2, 3).to_repro(&BTreeMap::new());
+        for bad in [0, 257] {
+            r.set("groups", bad);
+            assert!(ExploreSpec::from_repro(&r).is_err(), "{bad} groups");
+        }
+        r.set("groups", 256);
+        assert!(ExploreSpec::from_repro(&r).is_ok());
+    }
+
+    #[test]
+    fn multi_group_mu_reproducer_is_rejected() {
+        let mut r = ExploreSpec::mu(3).to_repro(&BTreeMap::new());
+        r.set("groups", 2);
+        assert!(ExploreSpec::from_repro(&r).is_err());
+        r.set("groups", 1);
+        assert!(ExploreSpec::from_repro(&r).is_ok());
     }
 
     #[test]

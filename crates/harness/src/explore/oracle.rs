@@ -1,6 +1,6 @@
 //! Invariant oracles: safety predicates evaluated over a snapshot of
 //! every member's externally observable state, after every explored
-//! step.
+//! step and at a chaos run's heal and end.
 //!
 //! The oracles mirror the safety arguments the paper inherits from Mu
 //! (§III): decided values form one agreed sequence, at most one member
@@ -70,11 +70,13 @@ impl fmt::Display for OracleKind {
     }
 }
 
-/// An oracle firing: which invariant broke, at which explored step, and
-/// a human-readable account of the evidence.
+/// An oracle firing: which invariant broke, at which step, and a
+/// human-readable account of the evidence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Explored-step index (0-based) after which the check failed.
+    /// Explored-step index (0-based) after which the check failed; a
+    /// chaos run numbers its two audits 0 (at the heal) and 1 (at the
+    /// end).
     pub step: u32,
     /// The invariant that broke.
     pub oracle: OracleKind,
@@ -156,6 +158,22 @@ pub fn check_group(probes: &[MemberProbe], step: u32, group_tag: u16) -> Option<
         });
     }
     check_all(probes, step)
+}
+
+/// Audits a whole deployment, one probe list per group: the
+/// single-group suite ([`check_all`]) for one group, and
+/// [`check_group`] on every group otherwise, the firing group named in
+/// the evidence. Explored steps and chaos runs both judge through here.
+pub(crate) fn audit(groups: &[Vec<MemberProbe>], step: u32) -> Option<Violation> {
+    if let [probes] = groups {
+        return check_all(probes, step);
+    }
+    groups.iter().enumerate().find_map(|(g, probes)| {
+        check_group(probes, step, g as u16).map(|mut v| {
+            v.detail = format!("group {g}: {}", v.detail);
+            v
+        })
+    })
 }
 
 fn group_isolation(probes: &[MemberProbe], group_tag: u16) -> Option<String> {

@@ -22,6 +22,8 @@
 
 use std::collections::BTreeMap;
 
+use netsim::Tracer;
+
 use super::oracle::Violation;
 use super::{run_schedule, ExploreSpec};
 
@@ -44,7 +46,7 @@ pub fn shrink(spec: &ExploreSpec, decisions: &BTreeMap<u32, u32>) -> Option<Shru
     let mut schedules = 0u64;
     let mut run = |spec: &ExploreSpec, decisions: &BTreeMap<u32, u32>| {
         schedules += 1;
-        run_schedule(spec, decisions, None).violation
+        run_schedule(spec, decisions, None, &Tracer::disabled()).violation
     };
 
     let mut spec = spec.clone();

@@ -50,3 +50,22 @@ pub use tracing::{
     run_point_traced, run_point_traced_with, stage_rows, stage_table, write_chrome_trace,
     TracedPoint,
 };
+
+/// The splitmix64 finalizer: a full-avalanche mix of one 64-bit word.
+pub(crate) fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// One draw of the splitmix64 generator, the harness's only source of
+/// seeded randomness (chaos schedules, random walks, key sampling).
+pub(crate) fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    mix64(*state)
+}
+
+/// A uniform draw from `[0, 1)` with 53 bits of precision.
+pub(crate) fn unit(state: &mut u64) -> f64 {
+    (splitmix(state) >> 11) as f64 / (1u64 << 53) as f64
+}

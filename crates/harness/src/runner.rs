@@ -5,6 +5,7 @@ use netsim::{MetricsRegistry, SimDuration, SimTime, Tracer};
 use rdma::Host;
 use replication::WorkloadSpec;
 use std::fmt;
+use std::str::FromStr;
 
 /// Which replication system a point runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -13,6 +14,44 @@ pub enum System {
     Mu,
     /// P4CE: in-network scatter/gather through the programmable switch.
     P4ce,
+}
+
+impl System {
+    /// The system's name in reproducer files and on the command line
+    /// (`"p4ce"` or `"mu"`); [`FromStr`] parses it back.
+    pub fn name(self) -> &'static str {
+        match self {
+            System::Mu => "mu",
+            System::P4ce => "p4ce",
+        }
+    }
+
+    /// Checks that one group of `n` members is a cluster this system's
+    /// builder accepts, so input from outside the program is refused
+    /// with an error instead of a builder panic.
+    pub(crate) fn check_members(self, n: usize) -> Result<(), String> {
+        let max = match self {
+            System::Mu => mu::MAX_GROUP_MEMBERS,
+            System::P4ce => p4ce::MAX_GROUP_MEMBERS,
+        };
+        if (2..=max).contains(&n) {
+            Ok(())
+        } else {
+            Err(format!("members={n}: {} takes 2..={max}", self.name()))
+        }
+    }
+}
+
+impl FromStr for System {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<System, String> {
+        match s {
+            "mu" => Ok(System::Mu),
+            "p4ce" => Ok(System::P4ce),
+            other => Err(format!("unknown system {other}")),
+        }
+    }
 }
 
 impl fmt::Display for System {
@@ -45,10 +84,6 @@ pub struct PointConfig {
     pub parser_cost: Option<SimDuration>,
     /// ACK-drop placement for P4CE (ablation E6).
     pub ack_drop: p4ce::AckDropStage,
-    /// Record leader latency in bounded log-linear histogram mode
-    /// instead of exact per-sample storage. Long sweeps turn this on to
-    /// keep memory flat; percentiles then carry ≲ 2% bucket error.
-    pub histogram_latency: bool,
     /// Trace sink for the run. Disabled by default, which costs one
     /// branch per instrumentation point; [`crate::tracing`] swaps in an
     /// enabled handle to collect per-instance span records.
@@ -67,7 +102,6 @@ impl PointConfig {
             seed: 42,
             parser_cost: None,
             ack_drop: p4ce::AckDropStage::Ingress,
-            histogram_latency: false,
             tracer: Tracer::disabled(),
         }
     }
@@ -206,9 +240,6 @@ fn measure<C: mu::Comm>(
     d.sim.run_for(cfg.warmup);
     let t0 = d.sim.now();
     d.member_mut(0).reset_measurements(t0);
-    if cfg.histogram_latency {
-        d.member_mut(0).stats.latency.use_histogram();
-    }
     d.sim.run_for(cfg.window);
     let now = d.sim.now();
     let events_processed = d.sim.events_processed();

@@ -18,6 +18,8 @@ use netsim::{group_scoped, MetricsRegistry, SimDuration, SimTime, Tracer};
 use p4ce::{ClusterBuilder, Deployment, LogEntry, P4ceMember, StateMachine};
 use rdma::Host;
 
+use crate::{mix64, unit};
+
 // ---------------------------------------------------------------------
 // Key → group routing
 // ---------------------------------------------------------------------
@@ -31,15 +33,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// Finalizing avalanche (splitmix64's): raw FNV over short, mostly-equal
-/// tags clusters in the high bits, which would let one group's vnode arc
-/// swallow the whole ring.
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A consistent-hash ring mapping keys to groups. Each group owns
@@ -67,6 +60,9 @@ impl HashRing {
                 let mut tag = [0u8; 10];
                 tag[..2].copy_from_slice(&g.to_be_bytes());
                 tag[2..].copy_from_slice(&(v as u64).to_be_bytes());
+                // Raw FNV over short, mostly-equal tags clusters in the
+                // high bits, which would let one group's vnode arc swallow
+                // the whole ring; the avalanche spreads them.
                 points.push((mix64(fnv1a64(&tag)), g));
             }
         }
@@ -86,14 +82,6 @@ impl HashRing {
 // ---------------------------------------------------------------------
 // Zipfian key sampler
 // ---------------------------------------------------------------------
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A seeded Zipf(θ) sampler over keys `0..n`: key `k` is drawn with
 /// probability ∝ `1/(k+1)^θ`. θ = 0 degenerates to uniform; θ ≈ 0.99 is
@@ -133,7 +121,7 @@ impl ZipfSampler {
 
     /// Draws the next key.
     pub fn next_key(&mut self) -> u64 {
-        let u = (splitmix(&mut self.state) >> 11) as f64 / (1u64 << 53) as f64;
+        let u = unit(&mut self.state);
         self.cdf.partition_point(|&c| c < u) as u64
     }
 }

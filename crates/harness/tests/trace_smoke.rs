@@ -7,7 +7,7 @@
 //! statistical: identical `events_processed` means identical
 //! virtual-time trajectories.
 
-use netsim::{trace::json, SimDuration, TraceHandle};
+use netsim::{trace::json, SimDuration, TraceHandle, Tracer};
 use p4ce_harness::runner::{PointConfig, System};
 use p4ce_harness::{chaos, run_point, run_point_traced, ChaosSpec};
 use replication::WorkloadSpec;
@@ -111,9 +111,9 @@ fn tracing_does_not_perturb_chaos_runs() {
     spec.drain = SimDuration::from_millis(2);
     spec.partition_from = SimDuration::from_micros(1000);
     spec.partition_until = SimDuration::from_micros(2500);
-    let plain = chaos::run_p4ce(&spec, 3);
+    let plain = chaos::run(&spec, 3, System::P4ce, &Tracer::disabled());
     let handle = TraceHandle::new();
-    let traced = chaos::run_p4ce_traced(&spec, 3, &handle.tracer("chaos"));
+    let traced = chaos::run(&spec, 3, System::P4ce, &handle.tracer("chaos"));
     assert_eq!(plain, traced, "traced chaos run must match untraced");
     let records = handle.records();
     assert!(!records.is_empty(), "chaos run emitted no trace records");

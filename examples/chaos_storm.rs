@@ -6,12 +6,15 @@
 //! cargo run --release --example chaos_storm [seed] [members]
 //! ```
 //!
-//! The runner itself asserts safety (identical decided prefixes, at
-//! most one operational leader per view); this example surfaces the
-//! liveness and fault accounting so you can watch recovery work.
+//! The runner judges the run with the explorer's oracle suite (single
+//! writer, unique leader, agreement, prefix consistency, exactly-once)
+//! at the heal and at the end; this example asserts that verdict and
+//! surfaces the liveness and fault accounting so you can watch recovery
+//! work.
 
-use p4ce_harness::chaos::run_p4ce;
-use p4ce_harness::ChaosSpec;
+use netsim::Tracer;
+use p4ce_harness::chaos::run;
+use p4ce_harness::{ChaosSpec, System};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -43,7 +46,7 @@ fn main() {
     );
     println!("  storm {} + drain {}", spec.storm, spec.drain);
 
-    let r = run_p4ce(&spec, members);
+    let r = run(&spec, members, System::P4ce, &Tracer::disabled());
 
     println!("\nstorm accounting:");
     println!(
@@ -68,6 +71,7 @@ fn main() {
         r.applied_min, r.log_hash,
     );
     println!("  operational leaders per view: {:?}", r.leader_views);
+    assert!(r.violation.is_none(), "oracle fired: {:?}", r.violation);
     assert!(
         r.decided_final > r.decided_at_heal,
         "the cluster must keep deciding after the heal"
